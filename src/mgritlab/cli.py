@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PhysicalStateError
 from .harness import (emit_csv, experiment_table, load_config, run_experiment,
                       run_sweep, write_meta)
 from .selfcheck import run_verification
@@ -30,7 +30,10 @@ def _out_path(args) -> Path:
     return Path(Path(args.config).stem + ".csv")
 
 
-def _summarise(name: str, record) -> str:
+def _summarise(name: str, result) -> str:
+    if result.failure is not None:
+        return f"{name}: failed ({result.failure})"
+    record = result.record
     if record.diverged:
         return f"{name}: diverged at iteration {record.diverged_at}"
     finite = record.errors[np.isfinite(record.errors)]
@@ -47,8 +50,8 @@ def _cmd_solve(args) -> int:
     out = _out_path(args)
     emit_csv(experiment_table(result), out)
     write_meta(out, ["error"], [result])
-    print(_summarise(out.name, result.record))
-    return 0
+    print(_summarise(out.name, result))
+    return _failure_status([out.name], [result])
 
 
 def _cmd_sweep(args) -> int:
@@ -59,9 +62,19 @@ def _cmd_sweep(args) -> int:
     emit_csv(result.table, out)
     write_meta(out, result.table.columns, result.runs)
     for name, run in zip(result.table.columns, result.runs):
-        print(_summarise(name, run.record))
+        print(_summarise(name, run))
     print(f"wrote {out} ({len(result.table.columns)} columns)")
-    return 0
+    return _failure_status(result.table.columns, result.runs)
+
+
+def _failure_status(names, runs) -> int:
+    """1, after one stderr line naming every failed column, or 0."""
+    failed = [f"{name} ({run.failure})" for name, run in zip(names, runs)
+              if run.failure is not None]
+    if not failed:
+        return 0
+    print(f"error: failed column(s): {'; '.join(failed)}", file=sys.stderr)
+    return 1
 
 
 def _cmd_verify(_args) -> int:
@@ -92,6 +105,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PhysicalStateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

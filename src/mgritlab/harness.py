@@ -11,9 +11,14 @@ The emitted CSV has header `iteration,<column names>`, one row per recorded
 iteration (row 0 describes the initial iterate), `NaN` for entries at and
 after a divergence, and LF line endings. Identical configs produce
 byte-identical CSVs regardless of the parallelism degree. A `.meta` sidecar
-next to each CSV records per-level step sizes, per-level CFL numbers, and
-wall-clock times; wall times vary between runs, which is why they live in
-the sidecar and not the CSV.
+next to each CSV records per-level step sizes, per-level CFL numbers,
+wall-clock times, the finest-level residual history with its per-iteration
+convergence factors, and the cause of a failed column; wall times vary
+between runs, which is why they live in the sidecar and not the CSV.
+
+A column whose serial reference leaves the admissible set (a
+PhysicalStateError) becomes a NaN column with the cause in its `failure`
+field; its sibling columns still run.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, PhysicalStateError
 from .flux import FLUX_KINDS, FluxConfig, SemiDiscreteOperator, WenoConfig
 from .grid import SpatialGrid, TemporalGrid
 from .mgrit import (CYCLE_KINDS, DEFAULT_DIVERGENCE_THRESHOLD, GUESS_KINDS,
@@ -360,10 +365,11 @@ def build_steppers(config: ExperimentConfig, model, space_grid: SpatialGrid,
 class ExperimentResult:
     config: ExperimentConfig
     record: ConvergenceRecord
-    serial: SerialRun
+    serial: SerialRun | None  # None when the reference failed
     level_dts: tuple
     level_cfls: tuple
     wall_seconds: float
+    failure: str | None = None  # "reference: <message>" for a failed column
 
 
 def run_experiment(config: ExperimentConfig, *, parallelism: int | None = None,
@@ -386,7 +392,18 @@ def _run_single(config: ExperimentConfig, *, parallelism: int | None = None,
     time_grid = TemporalGrid(config.horizon, config.n_t)
     state0 = initial_state(config.ic, space_grid, config.length)
     steppers = build_steppers(config, model, space_grid, time_grid)
-    serial = solve_serial(steppers[0], state0, time_grid, space_grid, model)
+    dts = tuple(time_grid.dt * config.m ** l for l in range(config.n_levels))
+    try:
+        serial = solve_serial(steppers[0], state0, time_grid, space_grid,
+                              model)
+    except PhysicalStateError as exc:
+        nan_rows = np.full(max_iters + 1, np.nan)
+        record = ConvergenceRecord(errors=nan_rows, residuals=nan_rows.copy())
+        return ExperimentResult(
+            config=config, record=record, serial=None, level_dts=dts,
+            level_cfls=(np.nan,) * len(dts),
+            wall_seconds=time.perf_counter() - start,
+            failure=f"reference: {exc}")
     options = MgritOptions(
         n_levels=config.n_levels, m=config.m, cycle=config.cycle,
         relaxation=config.relaxation, guess=config.restriction_guess,
@@ -395,7 +412,6 @@ def _run_single(config: ExperimentConfig, *, parallelism: int | None = None,
         parallelism=parallelism)
     _, record = mgrit_solve(steppers, state0, time_grid, space_grid, options,
                             reference=serial.trajectory.values)
-    dts = tuple(time_grid.dt * config.m ** l for l in range(config.n_levels))
     cfls = tuple(serial.max_speed * dt / space_grid.dx for dt in dts)
     wall = time.perf_counter() - start
     return ExperimentResult(config=config, record=record, serial=serial,
@@ -469,7 +485,8 @@ def meta_path(csv_path) -> Path:
 
 
 def write_meta(csv_path, names: list, runs: list) -> None:
-    """Sidecar with per-level step sizes, CFL numbers, and wall times."""
+    """Sidecar with per-level step sizes, CFL numbers, wall times, residual
+    histories and failure causes, one section per column."""
     lines = []
     total_wall = 0.0
     for name, result in zip(names, runs):
@@ -483,12 +500,21 @@ def write_meta(csv_path, names: list, runs: list) -> None:
         lines.append("level_dt = " + ", ".join(repr(v) for v in result.level_dts))
         lines.append("level_cfl = "
                       + ", ".join(f"{v:.6g}" for v in result.level_cfls))
-        lines.append(f"serial_wall_seconds = {result.serial.wall_seconds:.3f}")
+        serial_wall = (np.nan if result.serial is None
+                       else result.serial.wall_seconds)
+        lines.append(f"serial_wall_seconds = {serial_wall:.3f}")
         lines.append(f"wall_seconds = {result.wall_seconds:.3f}")
         rec = result.record
         lines.append(f"diverged = {str(rec.diverged).lower()}")
         if rec.diverged_at is not None:
             lines.append(f"diverged_at = {rec.diverged_at}")
+        if result.failure is not None:
+            lines.append(f"failure = {result.failure}")
+        lines.append("residuals = "
+                     + ", ".join(format_value(v) for v in rec.residuals))
+        lines.append("residual_factors = "
+                     + ", ".join(format_value(v)
+                                 for v in rec.residual_factors))
         lines.append("")
         total_wall += result.wall_seconds
     lines.append(f"total_wall_seconds = {total_wall:.3f}")

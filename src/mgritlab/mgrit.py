@@ -29,6 +29,20 @@ coarsest level sequentially. An F-cycle first descends to the coarsest
 level restricting at every step, then from the second-coarsest level up
 interpolates and (except on the finest level) runs a V-cycle rooted there;
 with two levels it degenerates to the V-cycle.
+
+No state is advanced twice for the same inputs. Each level keeps a flag
+saying its F-points are current for its C-points and g: F-relaxation sets
+it and is skipped while it holds, and every write to the level's u or g
+(C-relaxation, the injection of interpolation, restriction from the level
+below, the coarsest-level solve) clears it. So the F-relaxation that opens
+each cycle after the first, and the one heading an F-cycle's V-cycle right
+after interpolation, cost nothing. After F-relaxation the finest-level
+residual is zero at F-points, so the residual norm advances only the C-
+points' left neighbours u^{mi-1}; that batch Phi_0(u^{mi-1}) is kept while
+level 0 is unchanged and stands in for the next cycle's first evaluation
+of it (restriction under F-relaxation, C-relaxation under FCF). The batch
+is evaluated over the same worker slices as those consumers, so results
+stay bitwise equal to always re-advancing, at any parallelism.
 """
 from __future__ import annotations
 
@@ -107,6 +121,16 @@ class ConvergenceRecord:
     def n_iterations(self) -> int:
         return max(0, len(self.errors) - 1)
 
+    @property
+    def residual_factors(self) -> np.ndarray:
+        """Convergence factors ||r_k|| / ||r_{k-1}|| per row: NaN in row 0
+        and wherever either norm is not finite or ||r_{k-1}|| is zero."""
+        factors = np.full(len(self.residuals), np.nan)
+        prev, cur = self.residuals[:-1], self.residuals[1:]
+        defined = np.isfinite(prev) & np.isfinite(cur) & (prev > 0.0)
+        factors[1:][defined] = cur[defined] / prev[defined]
+        return factors
+
 
 def _chunk_slices(n_items: int, parts: int):
     parts = max(1, min(parts, n_items))
@@ -146,6 +170,10 @@ class MgritHierarchy:
             self.levels.append(MgritLevel(index=l, dt=time_grid.dt * m ** l,
                                           n_intervals=n_int,
                                           stepper=steppers[l], u=u, g=g))
+        # per level: F-points current for its C-points and g
+        self._f_current = [False] * n_levels
+        # Phi_0(u_0^{mi-1}) from residual_norm, while level 0 is unchanged
+        self._phi0 = None
         self._executor = None
 
     # -- parallel plumbing ------------------------------------------------
@@ -163,10 +191,24 @@ class MgritHierarchy:
         # list() re-raises the first worker exception in this thread
         list(self._executor.map(guarded, slices))
 
+    def _c_points(self, l: int) -> np.ndarray:
+        """Node indices mi of level l's C-points, i = 1 .. n_intervals/m."""
+        m = self.options.m
+        return m * np.arange(1, self.levels[l].n_intervals // m + 1)
+
+    def _invalidate(self, l: int) -> None:
+        """Level l's u or g is about to change."""
+        self._f_current[l] = False
+        if l == 0:
+            self._phi0 = None
+
     # -- level operations --------------------------------------------------
 
     def f_relax(self, l: int) -> None:
-        """Recompute the nodes between coarse nodes from their left C-point."""
+        """Recompute the nodes between coarse nodes from their left C-point;
+        a no-op while they are already current."""
+        if self._f_current[l]:
+            return
         level, m = self.levels[l], self.options.m
         starts = m * np.arange(level.n_intervals // m)
 
@@ -178,15 +220,20 @@ class MgritHierarchy:
                 level.u[base + j] = state
 
         self._apply(work, len(starts))
+        self._f_current[l] = True
 
     def c_relax(self, l: int) -> None:
         """Recompute each coarse node from its fine left neighbour."""
-        level, m = self.levels[l], self.options.m
-        targets = m * np.arange(1, level.n_intervals // m + 1)
+        phi0 = self._phi0 if l == 0 else None
+        self._invalidate(l)
+        level = self.levels[l]
+        targets = self._c_points(l)
 
         def work(sl):
             t = targets[sl]
-            level.u[t] = level.stepper.advance(level.u[t - 1]) + level.g[t]
+            phi = (level.stepper.advance(level.u[t - 1]) if phi0 is None
+                   else phi0[sl])
+            level.u[t] = phi + level.g[t]
 
         self._apply(work, len(targets))
 
@@ -200,13 +247,16 @@ class MgritHierarchy:
         """Fill level l+1's rhs and starting iterate from level l."""
         fine, coarse = self.levels[l], self.levels[l + 1]
         m = self.options.m
-        mi = m * np.arange(1, coarse.n_intervals + 1)
+        mi = self._c_points(l)
+        phi0 = self._phi0 if l == 0 else None
+        self._invalidate(l + 1)
         coarse.g[0] = fine.u[0]
         coarse.u[0] = fine.u[0]
 
         def work(sl):
             idx = mi[sl]
-            phi_fine = fine.stepper.advance(fine.u[idx - 1])
+            phi_fine = (fine.stepper.advance(fine.u[idx - 1]) if phi0 is None
+                        else phi0[sl])
             psi_old = coarse.stepper.advance(fine.u[idx - m])
             coarse.g[idx // m] = fine.g[idx] + phi_fine - psi_old
             if self.options.guess == "last-step":
@@ -218,6 +268,7 @@ class MgritHierarchy:
 
     def coarse_solve(self) -> None:
         """Sequential solve of the coarsest level (exact for that level)."""
+        self._invalidate(len(self.levels) - 1)
         level = self.levels[-1]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             state = level.u[0]
@@ -227,8 +278,8 @@ class MgritHierarchy:
 
     def interpolate(self, l: int) -> None:
         """Inject level l+1 onto level l's coarse nodes, then F-relax."""
-        fine, coarse = self.levels[l], self.levels[l + 1]
-        fine.u[::self.options.m] = coarse.u
+        self._invalidate(l)
+        self.levels[l].u[::self.options.m] = self.levels[l + 1].u
         self.f_relax(l)
 
     # -- cycles -------------------------------------------------------------
@@ -262,11 +313,29 @@ class MgritHierarchy:
     # -- monitoring ----------------------------------------------------------
 
     def residual_norm(self) -> float:
-        """Euclidean norm of the finest-level residual g + Phi(u_prev) - u."""
+        """Euclidean norm of the finest-level residual g + Phi(u_prev) - u.
+
+        Once level 0 is F-relaxed its F-point residuals are exactly zero, so
+        only u^{mi-1} is advanced; that batch is kept for the next cycle.
+        """
         level = self.levels[0]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            predicted = level.stepper.advance(level.u[:-1])
-            residual = level.g[1:] + predicted - level.u[1:]
+        if not self._f_current[0]:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                predicted = level.stepper.advance(level.u[:-1])
+                residual = level.g[1:] + predicted - level.u[1:]
+                return float(np.linalg.norm(residual))
+        mi = self._c_points(0)
+        phi0 = np.empty((len(mi),) + level.u.shape[1:])
+
+        def work(sl):
+            phi0[sl] = level.stepper.advance(level.u[mi[sl] - 1])
+
+        self._apply(work, len(mi))
+        self._phi0 = phi0
+        # zero F-point rows keep the norm's summation order of a full sweep
+        residual = np.zeros_like(level.u[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual[mi - 1] = level.g[mi] + phi0 - level.u[mi]
             return float(np.linalg.norm(residual))
 
     def fine_values(self) -> np.ndarray:
@@ -315,11 +384,11 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
         for it in range(1, n_rows):
             try:
                 hierarchy.run_cycle()
+                resid = hierarchy.residual_norm()
             except PhysicalStateError:
                 diverged, diverged_at = True, it
                 break
             err = current_error()
-            resid = hierarchy.residual_norm()
             finite = np.all(np.isfinite(hierarchy.fine_values()))
             if not finite or (np.isfinite(err)
                               and err > options.divergence_threshold):

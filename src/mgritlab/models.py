@@ -6,9 +6,10 @@ cell-major, shape (..., N, D) for eigenvalues and (..., N, D, D) for
 eigenvector matrices, so that per-cell projections are plain contractions.
 
 Inadmissible states (non-positive depth, density, or pressure) raise
-PhysicalStateError naming the first offending cell. Non-finite values do not
-raise; they propagate so that a diverging iteration can be detected by its
-caller instead of crashing mid-sweep.
+PhysicalStateError naming the first offending cell and, for batched states,
+its batch position. Non-finite values do not raise; they propagate so that
+a diverging iteration can be detected by its caller instead of crashing
+mid-sweep.
 """
 from __future__ import annotations
 
@@ -54,8 +55,15 @@ class RoeAverage:
     sound_speed_hat: float | None = None
 
 
-def _first_bad_cell(mask: np.ndarray) -> int:
-    return int(np.argmax(mask.reshape(-1)))
+def _first_bad_location(mask: np.ndarray) -> str:
+    """Where the first flagged entry of a (..., N) mask sits: its cell, and
+    its position along the batch axes when there are any."""
+    index = np.unravel_index(int(np.argmax(mask)), mask.shape)
+    where = f"cell {index[-1]}"
+    if mask.ndim > 1:
+        batch = tuple(int(i) for i in index[:-1])
+        where += f" at batch position {batch[0] if len(batch) == 1 else batch}"
+    return where
 
 
 class ConservationModel:
@@ -149,7 +157,7 @@ class ShallowWater(ConservationModel):
         bad = h <= 0.0
         if np.any(bad):
             raise PhysicalStateError(
-                f"non-positive depth in cell {_first_bad_cell(bad)}")
+                f"non-positive depth in {_first_bad_location(bad)}")
         return h, u[..., 1, :] / h
 
     def flux(self, u):
@@ -227,13 +235,13 @@ class Euler(ConservationModel):
         bad = rho <= 0.0
         if np.any(bad):
             raise PhysicalStateError(
-                f"non-positive density in cell {_first_bad_cell(bad)}")
+                f"non-positive density in {_first_bad_location(bad)}")
         vel = u[..., 1, :] / rho
         p = (self.gamma - 1.0) * (u[..., 2, :] - 0.5 * rho * vel * vel)
         bad = p <= 0.0
         if np.any(bad):
             raise PhysicalStateError(
-                f"non-positive pressure in cell {_first_bad_cell(bad)}")
+                f"non-positive pressure in {_first_bad_location(bad)}")
         return rho, vel, p
 
     def flux(self, u):
@@ -289,8 +297,8 @@ class Euler(ConservationModel):
         c_sq = (self.gamma - 1.0) * (h_hat - 0.5 * u_hat * u_hat)
         bad = c_sq <= 0.0
         if np.any(bad):
-            raise PhysicalStateError(
-                f"Roe average loses hyperbolicity in cell {_first_bad_cell(bad)}")
+            raise PhysicalStateError("Roe average loses hyperbolicity in "
+                                     + _first_bad_location(bad))
         return sl * sr, u_hat, h_hat, np.sqrt(c_sq)
 
     def roe_eigen(self, ul, ur):

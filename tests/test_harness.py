@@ -327,6 +327,84 @@ def test_run_sweep_columns_and_divergence_isolation():
     assert np.isfinite(table.data[0, 1])
 
 
+EULER_FE_SWEEP = """
+problem = euler
+ic = euler-energy-sin
+T = 0.5
+N_x = 64
+N_t = 400
+n_levels = 2
+flux = roe
+weno_order = 5
+stepper = fe
+max_iters = 2
+sweep = n_t
+sweep_values = 8, 400
+"""
+
+
+def test_failed_reference_stays_in_its_column():
+    # forward Euler at N_t = 8 drives the density negative in the serial
+    # reference; the N_t = 400 column must still run
+    result = run_sweep(parse_config(EULER_FE_SWEEP))
+    failed, good = result.runs
+    assert failed.failure.startswith("reference: non-positive density")
+    assert failed.serial is None
+    assert np.isnan(result.table.data[:, 0]).all()
+    assert good.failure is None
+    assert np.isfinite(result.table.data[:, 1]).all()
+    assert result.table.data.shape == (3, 2)
+
+
+def _meta_sections(path):
+    """{section: {key: value}} from a .meta sidecar."""
+    sections, current = {}, None
+    for line in meta_path(path).read_text().splitlines():
+        if line.startswith("["):
+            current = sections.setdefault(line.strip("[]"), {})
+        elif " = " in line and current is not None:
+            key, _, value = line.partition(" = ")
+            current[key] = value
+    return sections
+
+
+def _floats(value):
+    return np.array([float(v) for v in value.split(", ")])
+
+
+def test_cli_sweep_with_failed_reference_writes_outputs_and_exits_one(
+        tmp_path, capsys):
+    cfg = _write_config(tmp_path, EULER_FE_SWEEP)
+    out = tmp_path / "euler.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert out.read_text().splitlines()[0] == "iteration,n_t=8,n_t=400"
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error:") and "n_t=8" in err
+    meta = _meta_sections(out)
+    assert meta["n_t=8"]["failure"].startswith(
+        "reference: non-positive density in cell ")
+    assert np.isnan(_floats(meta["n_t=8"]["residuals"])).all()
+    assert "failure" not in meta["n_t=400"]
+
+
+def test_meta_records_residual_history_and_factors(tmp_path):
+    cfg = _write_config(tmp_path, MATCHED_SMALL)
+    out = tmp_path / "case.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    section = _meta_sections(out)["error"]
+    residuals = _floats(section["residuals"])
+    factors = _floats(section["residual_factors"])
+    result = run_experiment(parse_config(MATCHED_SMALL))
+    assert np.array_equal(residuals, result.record.residuals)
+    assert residuals.shape == factors.shape == (5,)
+    assert np.isnan(factors[0])
+    assert np.array_equal(factors[1:], residuals[1:] / residuals[:-1])
+    assert np.all(factors[1:] < 1.0)
+    # the residuals live in the sidecar only
+    assert out.read_text().splitlines()[0] == "iteration,error"
+
+
 # ----------------------------------------------------------------------
 # tables and CSV bytes
 # ----------------------------------------------------------------------

@@ -5,8 +5,12 @@ implementation written as plain sequential loops (no batching, no thread
 plumbing), and against hand-unrolled recurrences on a linear one-cell toy
 whose stepper multiplies by a constant.
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgritlab import (
     ComposedStepper,
@@ -42,6 +46,19 @@ class ScaleStepper:
         return self.factor * u
 
 
+class CountingStepper:
+    """Forwards advance() and counts the single-field states it advances."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dt = inner.dt
+        self.states = 0
+
+    def advance(self, u):
+        self.states += math.prod(u.shape[:-2])
+        return self.inner.advance(u)
+
+
 def _toy_hierarchy(factors, n_steps, m=2, **kwargs):
     steppers = [ScaleStepper(f, dt=float(m ** l))
                 for l, f in enumerate(factors)]
@@ -49,6 +66,17 @@ def _toy_hierarchy(factors, n_steps, m=2, **kwargs):
     return MgritHierarchy(steppers, np.array([[1.0]]),
                           TemporalGrid(float(n_steps), n_steps),
                           SpatialGrid(1.0, 1), options)
+
+
+def _counted_toy_hierarchy(factors, n_steps, m=2, **kwargs):
+    h = _toy_hierarchy(factors, n_steps, m=m, **kwargs)
+    for level in h.levels:
+        level.stepper = CountingStepper(level.stepper)
+    return h
+
+
+def _states(h):
+    return [level.stepper.states for level in h.levels]
 
 
 def _burgers_setup(n_x=64, n_t=32, horizon=0.2, n_levels=3, m=2):
@@ -117,6 +145,39 @@ def ref_v_cycle(h, l=0):
     ref_v_cycle(h, l + 1)
     h.levels[l].u[::opts.m] = h.levels[l + 1].u
     ref_f_relax(h.levels[l], opts.m)
+
+
+def ref_f_cycle(h):
+    opts, levels = h.options, h.levels
+    for l in range(opts.n_levels - 1):
+        ref_relax(levels[l], opts.m, opts.relaxation)
+        ref_restrict(levels[l], levels[l + 1], opts.m, opts.guess)
+    ref_coarse_solve(levels[-1])
+    for l in range(opts.n_levels - 2, -1, -1):
+        levels[l].u[::opts.m] = levels[l + 1].u
+        ref_f_relax(levels[l], opts.m)
+        if l > 0:
+            ref_v_cycle(h, l)
+
+
+def full_residual_norm(level):
+    """Finest-level residual norm from advancing every node afresh."""
+    predicted = level.stepper.advance(level.u[:-1])
+    return float(np.linalg.norm(level.g[1:] + predicted - level.u[1:]))
+
+
+def ref_mgrit_solve(steppers, u0, tgrid, sgrid, options, reference):
+    """Every cycle relaxes in full and every residual re-advances the whole
+    fine level; returns the fine iterate, errors and residuals."""
+    h = MgritHierarchy(steppers, u0, tgrid, sgrid, options)
+    cycle = ref_f_cycle if options.cycle == "f" else ref_v_cycle
+    errors = [rel_l2_spacetime_error(h.fine_values(), reference)]
+    residuals = [full_residual_norm(h.levels[0])]
+    for _ in range(options.max_iters):
+        cycle(h)
+        errors.append(rel_l2_spacetime_error(h.fine_values(), reference))
+        residuals.append(full_residual_norm(h.levels[0]))
+    return h.fine_values(), np.array(errors), np.array(residuals)
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +408,159 @@ def test_fcf_relaxation_extends_exactness_two_chunks_per_cycle():
         h.v_cycle()
         solved = h.levels[0].u[:8 * cycles + 1]
         assert np.max(np.abs(solved - exact[:8 * cycles + 1])) < 1e-12
+
+
+# ----------------------------------------------------------------------
+# work: skipped F-relaxations and the reused C-point residual batch
+# ----------------------------------------------------------------------
+
+def _solve_states(n_iters, **kwargs):
+    """States all levels advance in one solve of a 16-step toy problem."""
+    steppers = [CountingStepper(ScaleStepper(f, dt=2.0 ** l))
+                for l, f in enumerate([0.85, 0.7, 0.5])]
+    mgrit_solve(steppers, np.array([[1.0]]), TemporalGrid(16.0, 16),
+                SpatialGrid(1.0, 1),
+                MgritOptions(n_levels=3, m=2, max_iters=n_iters, **kwargs))
+    return sum(s.states for s in steppers)
+
+
+def test_states_advanced_v_cycle_f_relaxation():
+    # n = 16 fine steps, m = 2, 3 levels. One full V-cycle advances
+    # f0 8 + restrict0 16 + f1 4 + restrict1 8 + coarse 4 + f1 4 + f0 8 = 52.
+    # Row 0's residual advances all 16 states, later ones only the 8 C-point
+    # neighbours; every cycle after the first skips its opening f0 (8) and
+    # takes restrict0's fine half (8) from the residual's batch.
+    first, steady = 52 + 8, 52 - 8 - 8 + 8
+    assert steady == (52 + 16) - 24  # 24 fewer than re-advancing everything
+    for n_iters in range(1, 5):
+        assert _solve_states(n_iters) == 16 + first + (n_iters - 1) * steady
+    assert _solve_states(5) - _solve_states(4) == steady == 44
+
+
+def test_states_advanced_f_cycle_fcf_relaxation():
+    # relax0 24 + restrict0 16 + relax1 12 + restrict1 8 + coarse 4
+    # + interp1 4 + V-cycle at level 1 (relax1 without its opening F-relax,
+    # which interp1 just did: 8, restrict1 8, coarse 4, interp1 4)
+    # + interp0 8 = 100, against 104 with the repeated F-relaxation. Later
+    # cycles skip relax0's opening f0 (8) and take its C-relaxation (8)
+    # from the residual's batch.
+    kwargs = dict(cycle="f", relaxation="fcf", guess="injection")
+    first, steady = 100 + 8, 100 - 8 - 8 + 8
+    assert steady == (104 + 16) - 28
+    for n_iters in range(1, 5):
+        assert (_solve_states(n_iters, **kwargs)
+                == 16 + first + (n_iters - 1) * steady)
+    assert _solve_states(5, **kwargs) - _solve_states(4, **kwargs) == 92
+
+
+@pytest.mark.parametrize("cycle", ["v", "f"])
+@pytest.mark.parametrize("relaxation", ["f", "fcf"])
+def test_recorded_residuals_match_full_level_residual(cycle, relaxation):
+    model, sgrid, tgrid, steppers, u0, serial = _burgers_setup()
+    options = MgritOptions(n_levels=3, m=2, cycle=cycle,
+                           relaxation=relaxation, max_iters=5)
+    _, record = mgrit_solve(steppers, u0, tgrid, sgrid, options,
+                            reference=serial.trajectory.values)
+    h = MgritHierarchy(steppers, u0, tgrid, sgrid, options)
+    for it in range(options.max_iters + 1):
+        if it > 0:
+            h.run_cycle()
+        recorded = h.residual_norm()
+        assert recorded == record.residuals[it]
+        brute = full_residual_norm(h.levels[0])
+        assert abs(recorded - brute) <= 1e-13 * brute, it
+
+
+def test_second_f_relax_advances_nothing():
+    h = _counted_toy_hierarchy([0.9, 0.8, 0.7], n_steps=16)
+    for l in range(3):
+        h.f_relax(l)
+    before = _states(h)
+    for l in range(3):
+        h.f_relax(l)
+    assert _states(h) == before
+
+
+@pytest.mark.parametrize("write, l", [("c_relax", 1), ("interpolate", 1),
+                                      ("restrict", 1), ("coarse_solve", 2)])
+def test_writes_to_a_level_make_f_relax_recompute(write, l):
+    h = _counted_toy_hierarchy([0.9, 0.8, 0.7], n_steps=16)
+    h.f_relax(l)
+    if write == "c_relax":
+        h.c_relax(l)
+    elif write == "restrict":
+        h.restrict(l - 1)  # writes level l's u and g
+    elif write == "coarse_solve":
+        h.coarse_solve()
+    before = _states(h)[l]
+    if write == "interpolate":
+        h.interpolate(l)  # injects, then F-relaxes
+    else:
+        h.f_relax(l)
+    chunks = h.levels[l].n_intervals // 2
+    assert _states(h)[l] - before == chunks
+    h.f_relax(l)
+    assert _states(h)[l] - before == chunks
+
+
+def test_residual_batch_is_reused_until_level_0_changes():
+    h = _counted_toy_hierarchy([0.9, 0.8], n_steps=16)
+    h.f_relax(0)
+    start = _states(h)[0]
+    h.residual_norm()
+    assert _states(h)[0] - start == 8  # C-point left neighbours only
+    h.restrict(0)  # fine half taken from the residual's batch
+    assert _states(h) == [start + 8, 8]
+    h.c_relax(0)  # the batch is still current: level 0 has not changed
+    assert _states(h)[0] == start + 8
+    h.c_relax(0)  # level 0 changed; the batch is gone
+    assert _states(h)[0] == start + 16
+    assert h.residual_norm() == pytest.approx(
+        full_residual_norm(h.levels[0]), rel=1e-13)
+
+
+def test_unrelaxed_residual_advances_the_whole_level():
+    h = _counted_toy_hierarchy([0.9, 0.8], n_steps=16)
+    h.residual_norm()
+    assert _states(h)[0] == 16
+
+
+@settings(max_examples=30, deadline=None)
+@given(cycle=st.sampled_from(["v", "f"]),
+       relaxation=st.sampled_from(["f", "fcf"]),
+       guess=st.sampled_from(["injection", "last-step"]),
+       n_levels=st.integers(2, 4), m=st.integers(2, 3),
+       chunks=st.integers(1, 2), max_iters=st.integers(1, 4),
+       parallelism=st.integers(1, 3))
+def test_solve_is_bitwise_equal_to_always_relaxing(cycle, relaxation, guess,
+                                                  n_levels, m, chunks,
+                                                  max_iters, parallelism):
+    # coarsest CFL at most 0.8, so no run diverges
+    model, sgrid, tgrid, steppers, u0, serial = _burgers_setup(
+        n_x=16, n_t=chunks * m ** (n_levels - 1), horizon=0.05,
+        n_levels=n_levels, m=m)
+    reference = serial.trajectory.values
+    options = MgritOptions(n_levels=n_levels, m=m, cycle=cycle,
+                           relaxation=relaxation, guess=guess,
+                           max_iters=max_iters, parallelism=parallelism)
+    trajectory, record = mgrit_solve(steppers, u0, tgrid, sgrid, options,
+                                     reference=reference)
+    values, errors, residuals = ref_mgrit_solve(steppers, u0, tgrid, sgrid,
+                                                options, reference)
+    assert not record.diverged
+    assert np.array_equal(trajectory.values, values)
+    assert np.array_equal(record.errors, errors)
+    assert np.array_equal(record.residuals, residuals)
+
+
+def test_residual_factors():
+    record = ConvergenceRecord(
+        errors=np.zeros(5), residuals=np.array([2.0, 1.0, 0.0, 0.5, np.nan]))
+    factors = record.residual_factors
+    assert np.isnan(factors[[0, 3, 4]]).all()  # no predecessor, 0/0, NaN
+    assert factors[1] == 0.5 and factors[2] == 0.0
+    empty = ConvergenceRecord(errors=np.empty(0), residuals=np.empty(0))
+    assert empty.residual_factors.shape == (0,)
 
 
 # ----------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_shallow_water_rejects_nonpositive_depth():
     assert "cell 1" in str(err.value)
 
 
+def test_batched_state_errors_name_batch_position_and_cell():
+    model = Euler()
+    states = np.ones((4, 3, 8))
+    states[2, 0, 5] = -1.0  # density of cell 5 in the third batch item
+    with pytest.raises(PhysicalStateError) as err:
+        model.flux(states)
+    assert str(err.value) == ("non-positive density in cell 5 at batch "
+                              "position 2")
+    nested = np.ones((2, 3, 2, 8))
+    nested[1, 2, 0, 7] = 0.0
+    with pytest.raises(PhysicalStateError) as err:
+        ShallowWater().flux(nested)
+    assert str(err.value).endswith("cell 7 at batch position (1, 2)")
+
+
 def test_euler_rejects_nonpositive_pressure():
     model = Euler()
     state = np.array([[1.0], [10.0], [1.0]])  # kinetic energy exceeds total
