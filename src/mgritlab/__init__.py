@@ -13,7 +13,6 @@ from .flux import (FluxConfig, SemiDiscreteOperator, WenoConfig, entropy_fix,
                    lf_alpha, lf_flux, roe_flux, semi_discrete_rhs)
 from .grid import (SpatialGrid, TemporalGrid, Trajectory, max_cfl,
                    rel_l2_spacetime_error, wrap_index)
-from .cli import main
 from .harness import (INITIAL_CONDITIONS, ConvergenceTable, ExperimentConfig,
                       ExperimentResult, SweepResult, apply_sweep_value,
                       assemble_table, emit_csv, experiment_table,
@@ -33,3 +32,12 @@ from .weno import (WenoTables, build_tables, nonlinear_weights,
                    reconstruct_right, smoothness_indicators)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The CLI is imported on first use of `mgritlab.main`, so that
+    # `python -m mgritlab.cli` does not find it in sys.modules already.
+    if name == "main":
+        from .cli import main
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

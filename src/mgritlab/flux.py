@@ -116,14 +116,14 @@ def roe_flux(model: ConservationModel, state_left: np.ndarray,
     eigenvalue with its counterparts evaluated at the two interface states.
     """
     lam_hat, right_vec, left_vec = model.roe_eigen(state_left, state_right)
-    jump = state_right - state_left
-    strength = np.einsum("...nkd,...dn->...nk", left_vec, jump)
+    jump = np.swapaxes(state_right - state_left, -1, -2)[..., None]
+    strength = (left_vec @ jump)[..., 0]  # (..., N, K)
     lam_left = model.eigenvalues(state_left)
     lam_right = model.eigenvalues(state_right)
     speed = entropy_fix(lam_hat, lam_left, lam_right)
-    dissipation = np.einsum("...nk,...ndk->...dn", speed * strength, right_vec)
+    dissipation = (right_vec @ (speed * strength)[..., None])[..., 0]
     return 0.5 * (model.flux(state_left) + model.flux(state_right)) \
-        - 0.5 * dissipation
+        - 0.5 * np.swapaxes(dissipation, -1, -2)
 
 
 class SemiDiscreteOperator:

@@ -255,8 +255,8 @@ def apply_sweep_value(config: ExperimentConfig, key: str,
 
 def validate_config(config: ExperimentConfig) -> None:
     """Cross-field checks shared by the parser and the sweep driver."""
-    if config.problem not in ("burgers", "shallow-water", "euler"):
-        raise ConfigError(f"unknown problem '{config.problem}'")
+    # checks the problem name and the model's own parameters
+    make_model(config.problem, gravity=config.gravity, gamma=config.gamma)
     if config.ic not in INITIAL_CONDITIONS:
         raise ConfigError(f"unknown initial condition '{config.ic}'")
     ic_model, _ = INITIAL_CONDITIONS[config.ic]

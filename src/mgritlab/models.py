@@ -149,7 +149,7 @@ class ShallowWater(ConservationModel):
 
     def __init__(self, gravity: float = DEFAULT_GRAVITY):
         if gravity <= 0.0:
-            raise PhysicalStateError(f"gravity must be positive, got {gravity}")
+            raise ConfigError(f"gravity must be positive, got {gravity}")
         self.gravity = gravity
 
     def _depth_velocity(self, u):
@@ -179,17 +179,16 @@ class ShallowWater(ConservationModel):
 
     def _eigen_from(self, vel, c):
         lam = np.stack([vel - c, vel + c], axis=-1)
-        one = np.ones_like(vel)
-        right = np.stack([
-            np.stack([one, one], axis=-1),
-            np.stack([lam[..., 0], lam[..., 1]], axis=-1),
-        ], axis=-2)
+        right = np.empty(vel.shape + (2, 2))
+        right[..., 0, :] = 1.0
+        right[..., 1, :] = lam
         # closed-form inverse of [[1, 1], [u-c, u+c]]
         inv2c = 0.5 / c
-        left = np.stack([
-            np.stack([(vel + c) * inv2c, -one * inv2c], axis=-1),
-            np.stack([-(vel - c) * inv2c, one * inv2c], axis=-1),
-        ], axis=-2)
+        left = np.empty_like(right)
+        left[..., 0, 0] = lam[..., 1] * inv2c
+        left[..., 0, 1] = -inv2c
+        left[..., 1, 0] = -lam[..., 0] * inv2c
+        left[..., 1, 1] = inv2c
         return lam, right, left
 
     def eigen_cells(self, u):
@@ -227,7 +226,7 @@ class Euler(ConservationModel):
 
     def __init__(self, gamma: float = DEFAULT_GAMMA):
         if gamma <= 1.0:
-            raise PhysicalStateError(f"gamma must exceed 1, got {gamma}")
+            raise ConfigError(f"gamma must exceed 1, got {gamma}")
         self.gamma = gamma
 
     def _primitives(self, u):
@@ -268,15 +267,40 @@ class Euler(ConservationModel):
         return np.abs(vel) + self._sound_speed(rho, p)
 
     def _eigen_from(self, vel, c, enthalpy):
+        """Eigenvalues and right/left eigenvector matrices from u, c and H.
+
+        The left eigenvectors are the closed-form dual basis (Toro, Riemann
+        Solvers and Numerical Methods for Fluid Dynamics): with
+        b1 = (gamma-1)/c^2 and b2 = b1 u^2/2,
+            l1 = 1/2 (b2 + u/c, -(b1 u + 1/c), b1),
+            l2 = (1 - b2, b1 u, -b1),
+            l3 = 1/2 (b2 - u/c, -(b1 u - 1/c), b1),
+        which needs c^2 = (gamma-1)(H - u^2/2); that holds for cell states
+        and for the Roe average alike.
+        """
         lam = np.stack([vel - c, vel, vel + c], axis=-1)
-        one = np.ones_like(vel)
-        right = np.stack([
-            np.stack([one, one, one], axis=-1),
-            np.stack([vel - c, vel, vel + c], axis=-1),
-            np.stack([enthalpy - vel * c, 0.5 * vel * vel, enthalpy + vel * c],
-                     axis=-1),
-        ], axis=-2)
-        left = np.linalg.inv(right)
+        right = np.empty(vel.shape + (3, 3))
+        right[..., 0, :] = 1.0
+        right[..., 1, :] = lam
+        vel_c = vel * c
+        right[..., 2, 0] = enthalpy - vel_c
+        right[..., 2, 1] = 0.5 * vel * vel
+        right[..., 2, 2] = enthalpy + vel_c
+        inv_c = 1.0 / c
+        b1 = (self.gamma - 1.0) * inv_c * inv_c
+        b2 = 0.5 * b1 * vel * vel
+        b1_vel = b1 * vel
+        vel_inv_c = vel * inv_c
+        left = np.empty_like(right)
+        left[..., 0, 0] = 0.5 * (b2 + vel_inv_c)
+        left[..., 0, 1] = -0.5 * (b1_vel + inv_c)
+        left[..., 0, 2] = 0.5 * b1
+        left[..., 1, 0] = 1.0 - b2
+        left[..., 1, 1] = b1_vel
+        left[..., 1, 2] = -b1
+        left[..., 2, 0] = 0.5 * (b2 - vel_inv_c)
+        left[..., 2, 1] = -0.5 * (b1_vel - inv_c)
+        left[..., 2, 2] = 0.5 * b1
         return lam, right, left
 
     def eigen_cells(self, u):

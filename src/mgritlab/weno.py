@@ -9,7 +9,15 @@ forms B_r are the quadratic forms q^T B_r q summing the squared scaled
 derivatives of each candidate polynomial over the central cell.
 
 All tables are exact rationals, derived once (the symbolic derivation lives
-in the test suite as the oracle) and frozen here.
+in the test suite as the oracle) and frozen here. For evaluation they are
+rewritten, exactly, in the Newton basis of forward differences
+Delta^j q_s at the first cell s of each stencil: a candidate is
+q_s + sum_j e_j Delta^j q_s, and B_r, which annihilates constants, is its
+LDL^T factorisation in the differences, a weighted sum of squares of
+Delta^(m+1) q_s + sum_{j>m} l_j Delta^(j+1) q_s (for k = 2 these are the
+Jiang-Shu indicators, JCP 126, 1996). The kernel takes the differences of
+the whole window once and evaluates these explicit sums for all k+1
+stencils together.
 
 Reconstruction functions accept stacked windows with arbitrary leading batch
 axes; the window axis is last and holds cells (i-k, ..., i+k) in increasing
@@ -22,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -86,25 +95,65 @@ _SMOOTHNESS = {
 }
 
 
+def _newton_candidate(coeffs):
+    """(e_1, ..., e_k) with c . q == q_0 + sum_j e_j Delta^j q_0.
+
+    q_i = sum_j C(i,j) Delta^j q_0, and the coefficients sum to 1.
+    """
+    return tuple(sum(c * comb(i, j) for i, c in enumerate(coeffs))
+                 for j in range(1, len(coeffs)))
+
+
+def _newton_sum_of_squares(b):
+    """The LDL^T factorisation of q^T b q in the forward differences.
+
+    b annihilates constants, so q^T b q is a quadratic form in
+    Delta^1 q_0, ..., Delta^k q_0 alone; with L D L^T its matrix there,
+    q^T b q = sum_m D_m (Delta^(m+1) q_0 + sum_{j>m} L_jm Delta^(j+1) q_0)^2.
+    Returns ((D_m, (L_(m+1)m, ..., L_(k-1)m)), ...) for m = 0, ..., k-1.
+    """
+    n = len(b)
+    newton = [[comb(i, j) for j in range(n)] for i in range(n)]
+    gram = [[sum(newton[a][i] * b[a][c] * newton[c][j]
+                  for a in range(n) for c in range(n))
+             for j in range(1, n)] for i in range(1, n)]
+    size = n - 1
+    lower = [[Fraction(0)] * size for _ in range(size)]
+    diag = []
+    for j in range(size):
+        diag.append(gram[j][j] - sum(lower[j][p] ** 2 * diag[p]
+                                     for p in range(j)))
+        for i in range(j + 1, size):
+            lower[i][j] = (gram[i][j] - sum(lower[i][p] * lower[j][p] * diag[p]
+                                            for p in range(j))) / diag[j]
+    return tuple((diag[m], tuple(lower[j][m] for j in range(m + 1, size)))
+                 for m in range(size))
+
+
 @dataclass(frozen=True)
 class WenoTables:
     """Reconstruction tables for one polynomial degree.
 
     exact_* fields hold the rational values; the float arrays are their
-    closest doubles. coeffs_windowed / smoothness_windowed embed each
-    candidate's table into the full (2k+1)-wide window so batched
-    reconstruction is a single contraction per quantity.
+    closest doubles. The candidate and smoothness forms are the tables in
+    the Newton basis (see the module docstring): per stencil r, the
+    candidate's (e_1, ..., e_k) and ((D_m, (l_(m+1), ..., l_(k-1))), ...)
+    for its smoothness. The newton_* arrays lay them out for the kernel,
+    stencils along axis -2 and a trailing axis to broadcast over windows.
     """
 
     k: int
     exact_coeffs: tuple
     exact_weights: tuple
     exact_smoothness: tuple
+    exact_candidate_forms: tuple
+    exact_smoothness_forms: tuple
     coeffs: np.ndarray              # (k+1, k+1)
     weights: np.ndarray             # (k+1,)
     smoothness: np.ndarray          # (k+1, k+1, k+1)
-    coeffs_windowed: np.ndarray     # (k+1, 2k+1)
-    smoothness_windowed: np.ndarray  # (k+1, 2k+1, 2k+1)
+    newton_candidates: np.ndarray   # (k, k+1, 1): e_(j+1) of stencil r
+    newton_forms: np.ndarray        # (k, k, k+1, 1): l_j of form m, j > m
+    newton_weights: np.ndarray      # (k, k+1, 1): D_m of stencil r
 
     @property
     def order(self) -> int:
@@ -129,17 +178,23 @@ def build_tables(k: int) -> WenoTables:
     weights = np.array([float(v) for v in exact_d])
     smooth = np.array([[[float(v) for v in row] for row in mat]
                        for mat in exact_b])
-    width = 2 * k + 1
-    cw = np.zeros((k + 1, width))
-    sw = np.zeros((k + 1, width, width))
+    exact_cand = tuple(_newton_candidate(row) for row in exact_c)
+    exact_forms = tuple(_newton_sum_of_squares(mat) for mat in exact_b)
+    cand = np.zeros((k, k + 1, 1))
+    forms = np.zeros((k, k, k + 1, 1))
+    form_weights = np.zeros((k, k + 1, 1))
     for r in range(k + 1):
-        lo = k - r  # window position of cell i-r
-        cw[r, lo:lo + k + 1] = coeffs[r]
-        sw[r, lo:lo + k + 1, lo:lo + k + 1] = smooth[r]
+        cand[:, r, 0] = [float(e) for e in exact_cand[r]]
+        for m, (weight, tail) in enumerate(exact_forms[r]):
+            form_weights[m, r, 0] = float(weight)
+            forms[m, m + 1:, r, 0] = [float(v) for v in tail]
     return WenoTables(k=k, exact_coeffs=exact_c, exact_weights=exact_d,
-                      exact_smoothness=exact_b, coeffs=coeffs, weights=weights,
-                      smoothness=smooth, coeffs_windowed=cw,
-                      smoothness_windowed=sw)
+                      exact_smoothness=exact_b,
+                      exact_candidate_forms=exact_cand,
+                      exact_smoothness_forms=exact_forms, coeffs=coeffs,
+                      weights=weights, smoothness=smooth,
+                      newton_candidates=cand, newton_forms=forms,
+                      newton_weights=form_weights)
 
 
 def _check_window(tables: WenoTables, window: np.ndarray) -> np.ndarray:
@@ -151,30 +206,84 @@ def _check_window(tables: WenoTables, window: np.ndarray) -> np.ndarray:
     return window
 
 
+def _candidates_and_smoothness(tables: WenoTables, window: np.ndarray):
+    """Candidate values and smoothness indicators of every stencil, each
+    (k+1, M) with row r for stencil r and M = window.size // window width.
+    """
+    # Elementwise arithmetic only: a window's result must not depend on the
+    # batch around it (a BLAS product over the batch rounds differently with
+    # its size and alignment, and CSVs are byte-identical across
+    # parallelism degrees, which batch the states differently).
+    k = tables.k
+    # slot-major copy: rows[t] holds slot t of every window
+    rows = np.ascontiguousarray(np.moveaxis(window, -1, 0))
+    rows = rows.reshape(tables.window, -1)
+    # differences[j][s] = Delta^j q at slot s; stencil r starts at s = k-r,
+    # so row r of at[j] is Delta^j q at the first cell of stencil r
+    differences = [rows]
+    for _ in range(k):
+        differences.append(differences[-1][1:] - differences[-1][:-1])
+    at = [d[k::-1] for d in differences]
+    candidates = at[0].copy()
+    for e, delta in zip(tables.newton_candidates, at[1:]):
+        candidates += e * delta
+    beta = np.zeros_like(candidates)
+    for m in range(k):
+        square = at[m + 1].copy()
+        for j in range(m + 1, k):
+            square += tables.newton_forms[m, j] * at[j + 1]
+        square *= square
+        square *= tables.newton_weights[m]
+        beta += square
+    return candidates, beta
+
+
+def _normalised_weights(tables: WenoTables, epsilon: float, beta):
+    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (k+1, M); overwrites beta."""
+    if epsilon <= 0.0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    beta += epsilon
+    beta *= beta
+    raw = np.divide(tables.weights[:, None], beta, out=beta)
+    total = raw[0].copy()
+    for row in raw[1:]:
+        total += row
+    raw /= total
+    return raw
+
+
+def _by_window(tables: WenoTables, window: np.ndarray, per_stencil):
+    """(k+1, M) stencil rows as (..., k+1), one row of k+1 per window."""
+    return per_stencil.T.reshape(window.shape[:-1] + (tables.k + 1,))
+
+
 def smoothness_indicators(tables: WenoTables, window: np.ndarray) -> np.ndarray:
     """beta_r = q_r^T B_r q_r for every candidate stencil; (..., k+1)."""
     window = _check_window(tables, window)
-    return np.einsum("...a,rab,...b->...r", window,
-                     tables.smoothness_windowed, window)
+    _, beta = _candidates_and_smoothness(tables, window)
+    return _by_window(tables, window, beta)
 
 
 def nonlinear_weights(tables: WenoTables, epsilon: float,
                       window: np.ndarray) -> np.ndarray:
     """Normalised weights omega_r = (d_r/(eps+beta_r)^2) / sum; (..., k+1)."""
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    beta = smoothness_indicators(tables, window)
-    raw = tables.weights / np.square(epsilon + beta)
-    return raw / np.sum(raw, axis=-1, keepdims=True)
+    window = _check_window(tables, window)
+    _, beta = _candidates_and_smoothness(tables, window)
+    return _by_window(tables, window,
+                      _normalised_weights(tables, epsilon, beta))
 
 
 def reconstruct_left(tables: WenoTables, epsilon: float,
                      window: np.ndarray) -> np.ndarray:
     """Value just left of x_{i+1/2} from the window centred on cell i."""
     window = _check_window(tables, window)
-    candidates = np.einsum("rt,...t->...r", tables.coeffs_windowed, window)
-    omega = nonlinear_weights(tables, epsilon, window)
-    return np.sum(omega * candidates, axis=-1)
+    candidates, beta = _candidates_and_smoothness(tables, window)
+    omega = _normalised_weights(tables, epsilon, beta)
+    omega *= candidates
+    value = omega[0].copy()
+    for row in omega[1:]:
+        value += row
+    return value.reshape(window.shape[:-1])
 
 
 def reconstruct_right(tables: WenoTables, epsilon: float,
@@ -207,7 +316,8 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
     interface i+1/2 (the right edge of cell i). With characteristic=True and
     D > 1, windows are projected onto the characteristic fields of the
     adjacent cell (cell i for the left value, cell i+1 for the right value),
-    reconstructed per field, and projected back.
+    reconstructed per field, and projected back. Degree 0 is the identity,
+    so it returns the field and its neighbour without any projection.
     """
     field = np.asarray(field, float)
     if field.ndim < 2:
@@ -216,21 +326,26 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
     if n_cells < tables.window:
         raise DimensionError(
             f"{n_cells} cells cannot support a {tables.window}-cell window")
+    if tables.k == 0:
+        return field, np.roll(field, -1, axis=-1)
     idx_left, idx_right = _window_indices(n_cells, tables.k)
-    win_left = field[..., idx_left]    # (..., D, N, W)
-    win_right = field[..., idx_right]  # reversed windows centred on cell i+1
     if characteristic and field.shape[-2] > 1:
-        _, right_vec, left_vec = model.eigen_cells(field)
+        _, right_vec, left_vec = model.eigen_cells(field)  # (..., N, D, D)
         # reference cell i+1 for the right-side value
         right_vec_next = np.roll(right_vec, -1, axis=-3)
         left_vec_next = np.roll(left_vec, -1, axis=-3)
-        char_left = np.einsum("...ncd,...dnt->...cnt", left_vec, win_left)
-        char_right = np.einsum("...ncd,...dnt->...cnt", left_vec_next, win_right)
+        # cell-major windows (..., N, D, W), projected per cell to
+        # characteristic windows (..., N, C, W)
+        component = np.arange(field.shape[-2])[:, None]
+        char_left = left_vec @ field[..., component, idx_left[:, None, :]]
+        char_right = left_vec_next @ field[..., component,
+                                           idx_right[:, None, :]]
         rec_left = reconstruct_left(tables, epsilon, char_left)
         rec_right = reconstruct_left(tables, epsilon, char_right)
-        state_left = np.einsum("...ndc,...cn->...dn", right_vec, rec_left)
-        state_right = np.einsum("...ndc,...cn->...dn", right_vec_next, rec_right)
-        return state_left, state_right
-    state_left = reconstruct_left(tables, epsilon, win_left)
-    state_right = reconstruct_left(tables, epsilon, win_right)
+        state_left = (right_vec @ rec_left[..., None])[..., 0]
+        state_right = (right_vec_next @ rec_right[..., None])[..., 0]
+        return (np.swapaxes(state_left, -1, -2),
+                np.swapaxes(state_right, -1, -2))
+    state_left = reconstruct_left(tables, epsilon, field[..., idx_left])
+    state_right = reconstruct_left(tables, epsilon, field[..., idx_right])
     return state_left, state_right

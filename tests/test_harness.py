@@ -178,6 +178,19 @@ def test_validate_rejects_model_ic_mismatch():
     assert "belongs to model" in str(info.value)
 
 
+def test_validate_rejects_model_parameters_out_of_range():
+    for overrides in (dict(problem="shallow-water", ic="sw-scaled",
+                           gravity=-1.0),
+                      dict(problem="shallow-water", ic="sw-scaled",
+                           gravity=0.0),
+                      dict(problem="euler", ic="euler-energy-sin", gamma=1.0)):
+        with pytest.raises(ConfigError) as info:
+            validate_config(_config(**overrides))
+        assert "gravity" in str(info.value) or "gamma" in str(info.value)
+    # a parameter of another model is not checked
+    validate_config(_config(gravity=-1.0, gamma=0.5))
+
+
 def test_validate_rejects_matched_steppers_off_the_scalar_model():
     with pytest.raises(ConfigError):
         validate_config(_config(problem="shallow-water", ic="sw-scaled",
@@ -512,6 +525,36 @@ def test_cli_errors_exit_with_code_two(tmp_path, capsys):
     assert main(["solve", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "mystery" in err
+
+
+def test_cli_bad_model_parameter_exits_with_code_two(tmp_path, capsys):
+    text = MINIMAL.replace("problem = burgers", "problem = shallow-water") \
+        .replace("ic = sin-stationary", "ic = sw-scaled") + "gravity = -1\n"
+    cfg = _write_config(tmp_path, text)
+    assert main(["solve", "--config", str(cfg),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == \
+        "error: gravity must be positive, got -1.0\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["mgritlab", "mgritlab.cli"])
+def test_python_m_entry_points_run_cleanly(module):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mgritlab
+    src = str(Path(mgritlab.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: mgritlab")
 
 
 def test_cli_sweep_on_plain_config_fails_cleanly(tmp_path, capsys):

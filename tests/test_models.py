@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgritlab.errors import ConfigError, PhysicalStateError
 from mgritlab.models import Burgers, Euler, ShallowWater, make_model
@@ -132,6 +134,53 @@ def test_characteristic_round_trip_and_unit_vector_cases():
                                [5.0])
 
 
+def _euler_states(gamma, primitives):
+    """Conservative (3, N) states from (rho, Mach number, p) triples.
+
+    Drawing the Mach number, up to 5, keeps the eigenvector matrices well
+    conditioned; far beyond it the inv oracle itself loses digits.
+    """
+    rho, mach, p = np.array(primitives, float).T
+    vel = mach * np.sqrt(gamma * p / rho)
+    energy = p / (gamma - 1.0) + 0.5 * rho * vel * vel
+    return np.stack([rho, rho * vel, energy])
+
+
+def _assert_closed_form_left_is_the_inverse(right, left):
+    eye = left @ right
+    np.testing.assert_allclose(eye, np.broadcast_to(np.eye(3), eye.shape),
+                               rtol=0.0, atol=1e-12)
+    oracle = np.linalg.inv(right)
+    scale = np.max(np.abs(oracle), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(left - oracle) <= 1e-12 * scale)
+
+
+_PRIMITIVE = st.tuples(st.floats(0.05, 20.0), st.floats(-5.0, 5.0),
+                       st.floats(0.05, 20.0))  # rho, Mach number, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1.05, 3.0),
+       cells=st.lists(_PRIMITIVE, min_size=1, max_size=8))
+def test_euler_closed_form_left_vectors_invert_right_at_cells(gamma, cells):
+    model = Euler(gamma=gamma)
+    _, right, left = model.eigen_cells(_euler_states(gamma, cells))
+    _assert_closed_form_left_is_the_inverse(right, left)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(1.05, 3.0),
+       pairs=st.lists(st.tuples(_PRIMITIVE, _PRIMITIVE), min_size=1,
+                      max_size=8))
+def test_euler_closed_form_left_vectors_invert_right_at_roe_averages(gamma,
+                                                                     pairs):
+    model = Euler(gamma=gamma)
+    states_left = _euler_states(gamma, [a for a, _ in pairs])
+    states_right = _euler_states(gamma, [b for _, b in pairs])
+    _, right, left = model.roe_eigen(states_left, states_right)
+    _assert_closed_form_left_is_the_inverse(right, left)
+
+
 # -- Roe averages ----------------------------------------------------------------
 
 
@@ -199,6 +248,16 @@ def test_euler_rejects_nonpositive_density():
     state = np.array([[-1.0], [0.0], [1.0]])
     with pytest.raises(PhysicalStateError):
         model.eigen_cells(state)
+
+
+@pytest.mark.parametrize("build", [lambda: ShallowWater(gravity=0.0),
+                                   lambda: ShallowWater(gravity=-1.0),
+                                   lambda: Euler(gamma=1.0),
+                                   lambda: Euler(gamma=0.5),
+                                   lambda: make_model("euler", gamma=1.0)])
+def test_model_parameters_out_of_range_are_config_errors(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 # -- factory -----------------------------------------------------------------------

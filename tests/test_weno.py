@@ -7,11 +7,14 @@ values (c), solve for the convex combination reproducing the full-width
 reconstruction (d), and integrate squared derivatives over the central cell
 (B). The package tables must match the derivation exactly, as rationals.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgritlab import (
     ConfigError,
@@ -24,6 +27,7 @@ from mgritlab import (
     reconstruct_right,
     smoothness_indicators,
 )
+from mgritlab.weno import _candidates_and_smoothness
 
 EPS = 1e-6
 
@@ -164,17 +168,62 @@ def test_table_invariants(k):
         assert np.min(np.linalg.eigvalsh(mat)) >= -1e-12
         # constant data is perfectly smooth
         assert abs(ones @ mat @ ones) < 1e-12
-    # windowed embeddings agree with the compact tables
-    width = 2 * k + 1
-    assert tables.coeffs_windowed.shape == (k + 1, width)
-    assert np.allclose(tables.coeffs_windowed.sum(axis=1), 1.0, atol=1e-14)
+    # the kernel's Newton-basis forms reproduce the exact tables, as rationals
+    assert len(tables.exact_candidate_forms) == k + 1
     for r in range(k + 1):
-        lo = k - r
-        assert np.array_equal(
-            tables.coeffs_windowed[r, lo:lo + k + 1], tables.coeffs[r])
-        assert np.array_equal(
-            tables.smoothness_windowed[r, lo:lo + k + 1, lo:lo + k + 1],
-            tables.smoothness[r])
+        cand = tables.exact_candidate_forms[r]
+        assert _stencil_form(Fraction(1), cand) == tables.exact_coeffs[r]
+        forms = _stencil_squares(tables.exact_smoothness_forms[r])
+        assert len(forms) == k
+        rebuilt = tuple(
+            tuple(sum((w * f[a] * f[b] for w, f in forms), Fraction(0))
+                  for b in range(k + 1))
+            for a in range(k + 1))
+        assert rebuilt == tables.exact_smoothness[r]
+        # the float layout the kernel reads
+        for j, e in enumerate(cand):
+            assert tables.newton_candidates[j, r, 0] == float(e)
+        for m, (w, tail) in enumerate(tables.exact_smoothness_forms[r]):
+            assert w > 0 and tables.newton_weights[m, r, 0] == float(w)
+            expected = [0.0] * (m + 1) + [float(v) for v in tail]
+            assert list(tables.newton_forms[m, :, r, 0]) == expected
+
+
+def _stencil_form(lead, newton):
+    """Stencil coefficients of lead * q_0 + sum_j newton[j-1] Delta^j q_0."""
+    coeffs = [lead] + [Fraction(0)] * len(newton)
+    for j, e in enumerate(newton, start=1):
+        for i in range(j + 1):
+            coeffs[i] += e * (-1) ** (j - i) * math.comb(j, i)
+    return tuple(coeffs)
+
+
+def _stencil_squares(newton_forms):
+    """(weight, stencil coefficients) of each square of a smoothness form:
+    square m is of Delta^(m+1) q_0 + sum_j tail[j] Delta^(m+2+j) q_0."""
+    return tuple(
+        (w, _stencil_form(Fraction(0),
+                          (Fraction(0),) * m + (Fraction(1),) + tuple(tail)))
+        for m, (w, tail) in enumerate(newton_forms))
+
+
+def test_degree_two_smoothness_forms_are_jiang_shu():
+    # 1/4 (3q0 - 4q1 + q2)^2 + 13/12 (q0 - 2q1 + q2)^2 and its mirror
+    # images, each linear form scaled to coprime integers
+    f = Fraction
+    canonical = []
+    for forms in build_tables(2).exact_smoothness_forms:
+        row = []
+        for w, coeffs in _stencil_squares(forms):
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            ints = tuple(int(c * scale) for c in coeffs)
+            row.append((w / scale ** 2, ints))
+        canonical.append(tuple(row))
+    assert tuple(canonical) == (
+        ((f(1, 4), (-3, 4, -1)), (f(13, 12), (1, -2, 1))),
+        ((f(1, 4), (-1, 0, 1)), (f(13, 12), (1, -2, 1))),
+        ((f(1, 4), (1, -4, 3)), (f(13, 12), (1, -2, 1))),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -217,6 +266,73 @@ def test_smoothness_nonnegative_on_random_windows():
         beta = smoothness_indicators(tables, windows)
         assert beta.shape == (40, k + 1)
         assert np.all(beta >= -1e-10)
+
+
+def _windows(draw_k):
+    """(k, windows) with 1-3 windows of 2k+1 values spanning many scales."""
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return draw_k.flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.lists(value, min_size=2 * k + 1,
+                                      max_size=2 * k + 1),
+                             min_size=1, max_size=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_windows(st.integers(0, 3)))
+def test_explicit_kernel_matches_exact_rational_tables(case):
+    # exact rational evaluation of c_r . q_r and q_r^T B_r q_r at the same
+    # float data; the bound is relative to the sum of the terms' magnitudes,
+    # plus 1e-300 for subnormal values and squares that underflow
+    k, rows = case
+    tables = build_tables(k)
+    windows = np.array(rows)
+    candidates, betas = _candidates_and_smoothness(tables, windows)
+    assert np.array_equal(betas.T, smoothness_indicators(tables, windows))
+    for b, row in enumerate(rows):
+        q = [Fraction(v) for v in row]
+        for r in range(k + 1):
+            stencil = q[k - r:2 * k - r + 1]
+            coeffs = tables.exact_coeffs[r]
+            exact = sum(c * v for c, v in zip(coeffs, stencil))
+            size = sum(abs(c * v) for c, v in zip(coeffs, stencil))
+            error = abs(Fraction(candidates[r][b]) - exact)
+            assert error <= 1e-13 * size + 1e-300
+            mat = tables.exact_smoothness[r]
+            exact = sum(mat[i][j] * stencil[i] * stencil[j]
+                        for i in range(k + 1) for j in range(k + 1))
+            size = sum(abs(mat[i][j] * stencil[i] * stencil[j])
+                       for i in range(k + 1) for j in range(k + 1))
+            error = abs(Fraction(betas[r][b]) - exact)
+            assert error <= 1e-13 * size + 1e-300
+
+
+def _einsum_reconstruct_left(tables, epsilon, window):
+    """The windowed quadratic-form reconstruction the kernel replaced."""
+    k, width = tables.k, tables.window
+    coeffs = np.zeros((k + 1, width))
+    smooth = np.zeros((k + 1, width, width))
+    for r in range(k + 1):
+        lo = k - r
+        coeffs[r, lo:lo + k + 1] = tables.coeffs[r]
+        smooth[r, lo:lo + k + 1, lo:lo + k + 1] = tables.smoothness[r]
+    candidates = np.einsum("rt,...t->...r", coeffs, window)
+    beta = np.einsum("...a,rab,...b->...r", window, smooth, window)
+    raw = tables.weights / np.square(epsilon + beta)
+    omega = raw / np.sum(raw, axis=-1, keepdims=True)
+    return np.sum(omega * candidates, axis=-1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_windows(st.integers(0, 3)),
+       epsilon=st.sampled_from([1e-6, 1e-2, 1.0]))
+def test_reconstruct_left_matches_einsum_formula(case, epsilon):
+    k, rows = case
+    tables = build_tables(k)
+    windows = np.array(rows)
+    got = reconstruct_left(tables, epsilon, windows)
+    expected = _einsum_reconstruct_left(tables, epsilon, windows)
+    scale = np.max(np.abs(windows), axis=-1)
+    assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(scale, 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +525,32 @@ def test_interface_states_batched_leading_axes():
         single = reconstruct_interface_states(model, fields[b], tables, EPS)
         assert np.array_equal(left[b], single[0])
         assert np.array_equal(right[b], single[1])
+
+
+@pytest.mark.parametrize("kind,k", [("shallow-water", 1), ("euler", 2),
+                                    ("euler", 3)])
+def test_characteristic_interface_states_do_not_depend_on_the_batch(kind, k):
+    # bitwise: MGRIT batches states differently at each parallelism degree
+    model = make_model(kind)
+    rng = np.random.default_rng(19)
+    x = (np.arange(24) + 0.5) / 24
+    fields = []
+    for _ in range(7):
+        h = 1.5 + 0.4 * np.sin(2 * np.pi * (x + rng.uniform()))
+        vel = 0.3 * np.cos(2 * np.pi * (x + rng.uniform()))
+        if kind == "euler":
+            p = 1.2 + 0.3 * np.sin(2 * np.pi * (x + rng.uniform()))
+            energy = p / (model.gamma - 1) + 0.5 * h * vel ** 2
+            fields.append([h, h * vel, energy])
+        else:
+            fields.append([h, h * vel])
+    fields = np.array(fields)
+    tables = build_tables(k)
+    left, right = reconstruct_interface_states(model, fields, tables, EPS)
+    for lo, hi in ((0, 1), (1, 4), (4, 7)):
+        part = reconstruct_interface_states(model, fields[lo:hi], tables, EPS)
+        assert np.array_equal(left[lo:hi], part[0])
+        assert np.array_equal(right[lo:hi], part[1])
 
 
 def test_interface_states_dimension_errors():
