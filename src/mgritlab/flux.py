@@ -158,7 +158,10 @@ class SemiDiscreteOperator:
 
     def rhs(self, field: np.ndarray) -> np.ndarray:
         flux_at = self.interface_flux(field)  # entry i is interface i+1/2
-        return -(flux_at - np.roll(flux_at, 1, axis=-1)) / self.space_grid.dx
+        flux_before = np.empty_like(flux_at)  # entry i is interface i-1/2
+        flux_before[..., 1:] = flux_at[..., :-1]
+        flux_before[..., 0] = flux_at[..., -1]
+        return -(flux_at - flux_before) / self.space_grid.dx
 
 
 def semi_discrete_rhs(model: ConservationModel, space_grid: SpatialGrid,

@@ -13,7 +13,8 @@ after a divergence, and LF line endings. Identical configs produce
 byte-identical CSVs regardless of the parallelism degree. A `.meta` sidecar
 next to each CSV records per-level step sizes, per-level CFL numbers,
 wall-clock times, the finest-level residual history with its per-iteration
-convergence factors, and the cause of a failed column; wall times vary
+convergence factors, and the cause of a failed reference or of an MGRIT
+divergence; wall times vary
 between runs, which is why they live in the sidecar and not the CSV.
 
 A column whose serial reference leaves the admissible set (a
@@ -510,6 +511,9 @@ def write_meta(csv_path, names: list, runs: list) -> None:
             lines.append(f"diverged_at = {rec.diverged_at}")
         if result.failure is not None:
             lines.append(f"failure = {result.failure}")
+        elif rec.divergence_cause is not None:
+            lines.append(f"failure = mgrit: {rec.divergence_cause} "
+                         f"at iteration {rec.diverged_at}")
         lines.append("residuals = "
                      + ", ".join(format_value(v) for v in rec.residuals))
         lines.append("residual_factors = "

@@ -110,12 +110,14 @@ class ConvergenceRecord:
     errors holds relative space-time errors against the serial reference
     (NaN when no reference was supplied, and from the diverging iteration
     on); residuals holds Euclidean norms of the finest-level residual.
+    divergence_cause says why iteration diverged_at was declared diverged.
     """
 
     errors: np.ndarray
     residuals: np.ndarray
     diverged: bool = False
     diverged_at: int | None = None
+    divergence_cause: str | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -351,7 +353,7 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
     reference, when given, is the serial trajectory array (n_nodes, D, N)
     errors are measured against. Divergence (non-finite iterate, a thrown
     physical-state error, or relative error past the threshold) is recorded,
-    not raised: the offending and all later rows hold NaN.
+    not raised, with its cause: the offending and all later rows hold NaN.
 
     Returns (trajectory, record); with max_iters = 0 the record is empty and
     the trajectory is the initial iterate.
@@ -371,8 +373,7 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
     n_rows = options.max_iters + 1
     errors = np.full(n_rows, np.nan)
     residuals = np.full(n_rows, np.nan)
-    diverged = False
-    diverged_at = None
+    diverged_at = cause = None
     errors[0] = current_error()
     residuals[0] = hierarchy.residual_norm()
 
@@ -385,17 +386,19 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
             try:
                 hierarchy.run_cycle()
                 resid = hierarchy.residual_norm()
-            except PhysicalStateError:
-                diverged, diverged_at = True, it
+            except PhysicalStateError as exc:
+                diverged_at, cause = it, str(exc)
                 break
             err = current_error()
-            finite = np.all(np.isfinite(hierarchy.fine_values()))
-            if not finite or (np.isfinite(err)
-                              and err > options.divergence_threshold):
-                diverged, diverged_at = True, it
-                break
-            if reference is not None and not np.isfinite(err):
-                diverged, diverged_at = True, it
+            if not np.all(np.isfinite(hierarchy.fine_values())):
+                cause = "non-finite iterate"
+            elif np.isfinite(err) and err > options.divergence_threshold:
+                cause = (f"relative error {err:.6g} above divergence "
+                         f"threshold {options.divergence_threshold:g}")
+            elif reference is not None and not np.isfinite(err):
+                cause = "non-finite relative error"
+            if cause is not None:
+                diverged_at = it
                 break
             errors[it] = err
             residuals[it] = resid
@@ -405,5 +408,6 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
             executor.shutdown(wait=True)
 
     record = ConvergenceRecord(errors=errors, residuals=residuals,
-                               diverged=diverged, diverged_at=diverged_at)
+                               diverged=cause is not None,
+                               diverged_at=diverged_at, divergence_cause=cause)
     return Trajectory(time_grid, space_grid, hierarchy.fine_values()), record

@@ -29,10 +29,28 @@ so the order-1 operator reproduces Phi^m up to O(dt^2) while costing m flux
 evaluations instead of m full steps of the coarse-grid hierarchy's parent.
 The rediscretised baseline uses the same one-step scheme with the coarse
 step size: E u - (m dt) D f(u).
+
+All of these are one kernel, lf_expansion: the fine and rediscretised steps
+are its order-0 form with m = 1. It copies the field once onto its periodic
+extension by p = m cells on each side (a cached gather index
+arange(-p, N + p) % N, valid for p > N too) and evaluates every E and D as
+a slice expression that drops one cell at each end:
+
+    E v = 0.5 * (v[2:] + v[:-2]),   D f = (f[2:] - f[:-2]) / (2 dx).
+
+After the m applications of E that each operator makes, exactly the N
+cells of the grid remain; in the order-1 Horner loop the accumulated sum
+stays two cells shorter than the averaged field, so both shrink in
+lockstep. Every padded cell holds the value of the cell it wraps onto, so
+each output cell goes through the same floating-point operations on the
+same operands, in the same order, as the formulas on rolled copies,
+0.5 * (roll(v, -1) + roll(v, 1)) and (roll(f, -1) - roll(f, 1)) / (2 dx):
+results are bitwise equal to them, at any batch shape.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -82,14 +100,59 @@ class RungeKuttaStepper:
         return self._step(self.rhs, u, self.dt)
 
 
+@lru_cache(maxsize=None)
+def _wrap_index(n_cells: int, pad: int) -> np.ndarray:
+    """Gather index of the periodic extension by pad cells on each side."""
+    index = np.arange(-pad, n_cells + pad) % n_cells
+    index.setflags(write=False)
+    return index
+
+
+def _periodic_pad(u: np.ndarray, pad: int) -> np.ndarray:
+    return u[..., _wrap_index(u.shape[-1], pad)]
+
+
+def _average(v: np.ndarray) -> np.ndarray:
+    """E on a padded last axis; the result is one cell shorter at each end."""
+    return 0.5 * (v[..., 2:] + v[..., :-2])
+
+
+def _difference(f: np.ndarray, dx: float) -> np.ndarray:
+    """D on a padded last axis; the result is one cell shorter at each end."""
+    return (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+
+
 def neighbor_average(u: np.ndarray) -> np.ndarray:
     """E(u)_i = (u_{i+1} + u_{i-1}) / 2 on the periodic last axis."""
-    return 0.5 * (np.roll(u, -1, axis=-1) + np.roll(u, 1, axis=-1))
+    return _average(_periodic_pad(u, 1))
 
 
 def central_difference(f: np.ndarray, dx: float) -> np.ndarray:
     """D(f)_i = (f_{i+1} - f_{i-1}) / (2 dx) on the periodic last axis."""
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
+    return _difference(_periodic_pad(f, 1), dx)
+
+
+def lf_expansion(model: ConservationModel, u: np.ndarray, dx: float,
+                 step: float, m: int, order: int) -> np.ndarray:
+    """E^m u - step D f(u) (order 0) or
+    E^m u - step sum_{j=1..m} E^(j-1) D f(E^(m-j) u) (order 1), evaluated
+    on the periodic extension of u by m cells (see the module docstring).
+    """
+    padded = _periodic_pad(u, m)
+    if order == 0:
+        core = padded[..., m - 1:padded.shape[-1] - m + 1]
+        slope = _difference(model.flux(core), dx)
+        for _ in range(m):
+            padded = _average(padded)
+        return padded - step * slope
+    # Horner form: acc after the loop equals
+    # sum_{j=1..m} E^(j-1) D f(E^(m-j) u) and v equals E^(m-1) u
+    acc = _difference(model.flux(padded), dx)
+    v = padded
+    for _ in range(m - 1):
+        v = _average(v)
+        acc = _average(acc) + _difference(model.flux(v), dx)
+    return _average(v) - step * acc
 
 
 def _require_scalar_model(model: ConservationModel, kind: str) -> None:
@@ -102,16 +165,23 @@ def _require_scalar_model(model: ConservationModel, kind: str) -> None:
 class MatchedLFFine:
     """One-step Lax-Friedrichs scheme Phi(u) = E u - dt D f(u)."""
 
+    kind = "matched-lf-fine"
+
     def __init__(self, model: ConservationModel, space_grid: SpatialGrid,
                  dt: float):
-        _require_scalar_model(model, "matched-lf-fine")
+        _require_scalar_model(model, self.kind)
         self.model = model
         self.dx = space_grid.dx
         self.dt = dt
 
     def advance(self, u: np.ndarray) -> np.ndarray:
-        return neighbor_average(u) \
-            - self.dt * central_difference(self.model.flux(u), self.dx)
+        return lf_expansion(self.model, u, self.dx, self.dt, 1, 0)
+
+
+class RediscretizedLF(MatchedLFFine):
+    """The fine one-step scheme rebuilt with the coarse step size."""
+
+    kind = "rediscretized-lf"
 
 
 class MatchedLFCoarse:
@@ -134,37 +204,9 @@ class MatchedLFCoarse:
         self.dt = dt_fine * m_effective
 
     def advance(self, u: np.ndarray) -> np.ndarray:
-        m = self.m_effective
-        if self.order == 0:
-            averaged = u
-            for _ in range(m):
-                averaged = neighbor_average(averaged)
-            return averaged - self.dt * central_difference(
-                self.model.flux(u), self.dx)
-        # order 1, Horner form: acc after the loop equals
-        # sum_{j=1..m} E^(j-1) D f(E^(m-j) u) and v equals E^(m-1) u
-        acc = central_difference(self.model.flux(u), self.dx)
-        v = u
-        for _ in range(m - 1):
-            v = neighbor_average(v)
-            acc = neighbor_average(acc) + central_difference(
-                self.model.flux(v), self.dx)
-        return neighbor_average(v) - self.dt_fine * acc
-
-
-class RediscretizedLF:
-    """The fine one-step scheme rebuilt with the coarse step size."""
-
-    def __init__(self, model: ConservationModel, space_grid: SpatialGrid,
-                 dt: float):
-        _require_scalar_model(model, "rediscretized-lf")
-        self.model = model
-        self.dx = space_grid.dx
-        self.dt = dt
-
-    def advance(self, u: np.ndarray) -> np.ndarray:
-        return neighbor_average(u) \
-            - self.dt * central_difference(self.model.flux(u), self.dx)
+        step = self.dt if self.order == 0 else self.dt_fine
+        return lf_expansion(self.model, u, self.dx, step, self.m_effective,
+                            self.order)
 
 
 class ComposedStepper:

@@ -308,6 +308,14 @@ def _window_indices(n_cells: int, k: int):
     return left, right
 
 
+def _next_cell(values: np.ndarray) -> np.ndarray:
+    """Entry i holds entry i+1 of values along the periodic last axis."""
+    shifted = np.empty_like(values)
+    shifted[..., :-1] = values[..., 1:]
+    shifted[..., -1] = values[..., 0]
+    return shifted
+
+
 def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
                                  epsilon: float, characteristic: bool = True):
     """Left and right states at every interface of a periodic field.
@@ -327,25 +335,25 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
         raise DimensionError(
             f"{n_cells} cells cannot support a {tables.window}-cell window")
     if tables.k == 0:
-        return field, np.roll(field, -1, axis=-1)
+        return field, _next_cell(field)
     idx_left, idx_right = _window_indices(n_cells, tables.k)
     if characteristic and field.shape[-2] > 1:
         _, right_vec, left_vec = model.eigen_cells(field)  # (..., N, D, D)
-        # reference cell i+1 for the right-side value
-        right_vec_next = np.roll(right_vec, -1, axis=-3)
-        left_vec_next = np.roll(left_vec, -1, axis=-3)
         # cell-major windows (..., N, D, W), projected per cell to
-        # characteristic windows (..., N, C, W)
+        # characteristic windows (..., N, C, W); the reversed window of cell
+        # j gives its value at x_{j-1/2}, in cell j's own characteristic
+        # fields, so one shift by a cell makes entry i the right-side value
+        # at x_{i+1/2}
         component = np.arange(field.shape[-2])[:, None]
         char_left = left_vec @ field[..., component, idx_left[:, None, :]]
-        char_right = left_vec_next @ field[..., component,
-                                           idx_right[:, None, :]]
+        char_right = left_vec @ field[..., component,
+                                      idx_left[:, None, ::-1]]
         rec_left = reconstruct_left(tables, epsilon, char_left)
         rec_right = reconstruct_left(tables, epsilon, char_right)
         state_left = (right_vec @ rec_left[..., None])[..., 0]
-        state_right = (right_vec_next @ rec_right[..., None])[..., 0]
+        state_right = (right_vec @ rec_right[..., None])[..., 0]
         return (np.swapaxes(state_left, -1, -2),
-                np.swapaxes(state_right, -1, -2))
+                _next_cell(np.swapaxes(state_right, -1, -2)))
     state_left = reconstruct_left(tables, epsilon, field[..., idx_left])
     state_right = reconstruct_left(tables, epsilon, field[..., idx_right])
     return state_left, state_right

@@ -401,6 +401,40 @@ def test_cli_sweep_with_failed_reference_writes_outputs_and_exits_one(
     assert "failure" not in meta["n_t=400"]
 
 
+DIVERGING_SWEEP = """
+problem = burgers
+ic = sin-stationary
+T = 0.475
+N_x = 64
+N_t = 256
+n_levels = 4
+stepper = matched-lf
+coarse = matched-1
+max_iters = 10
+sweep = coarse
+sweep_values = matched-1, rediscretize
+"""
+
+
+def test_meta_records_mgrit_divergence_cause(tmp_path):
+    cfg = _write_config(tmp_path, DIVERGING_SWEEP)
+    out = tmp_path / "sweep.csv"
+    # a diverged column is a result, not a failed run
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = _meta_sections(out)
+    result = run_sweep(parse_config(DIVERGING_SWEEP))
+    good, bad = result.runs
+    diverged = meta["coarse=rediscretize"]
+    assert diverged["diverged_at"] == str(bad.record.diverged_at)
+    assert diverged["failure"] == (f"mgrit: {bad.record.divergence_cause} "
+                                   f"at iteration {bad.record.diverged_at}")
+    # the rediscretised coarse operator blows up at this CFL
+    assert bad.record.divergence_cause.startswith("relative error ")
+    assert bad.record.divergence_cause.endswith(
+        " above divergence threshold 1e+10")
+    assert "failure" not in meta["coarse=matched-1"]
+
+
 def test_meta_records_residual_history_and_factors(tmp_path):
     cfg = _write_config(tmp_path, MATCHED_SMALL)
     out = tmp_path / "case.csv"

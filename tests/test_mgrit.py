@@ -638,6 +638,62 @@ def test_physical_state_error_is_caught_as_divergence():
     assert np.isnan(record.errors[1:]).all()
 
 
+def test_divergence_cause_names_error_past_threshold():
+    steppers = [ScaleStepper(1.05, dt=1.0), ScaleStepper(-6.0, dt=2.0)]
+    tgrid = TemporalGrid(16.0, 16)
+    reference = (1.05 ** np.arange(17))[:, None, None]
+    options = MgritOptions(n_levels=2, m=2, max_iters=6,
+                           divergence_threshold=1e3)
+    _, record = mgrit_solve(steppers, np.array([[1.0]]), tgrid,
+                            SpatialGrid(1.0, 1), options, reference=reference)
+    assert record.divergence_cause.startswith("relative error ")
+    assert record.divergence_cause.endswith(
+        " above divergence threshold 1000")
+    error = float(record.divergence_cause.split()[2])
+    assert error > 1e3
+
+
+def test_divergence_cause_keeps_physical_state_message():
+    class FailsOnSecondCall:
+        dt = 2.0
+
+        def __init__(self):
+            self.calls = 0
+
+        def advance(self, u):
+            self.calls += 1
+            if self.calls > 1:
+                raise PhysicalStateError("non-positive depth in cell 0")
+            return u
+
+    steppers = [ScaleStepper(1.0, dt=1.0), FailsOnSecondCall()]
+    options = MgritOptions(n_levels=2, m=2, max_iters=4)
+    _, record = mgrit_solve(steppers, np.array([[1.0]]), TemporalGrid(8.0, 8),
+                            SpatialGrid(1.0, 1), options)
+    assert record.diverged
+    assert record.divergence_cause == "non-positive depth in cell 0"
+    assert record.diverged_at >= 1
+
+
+def test_divergence_cause_names_non_finite_iterate():
+    # no reference, so only the iterate itself can reveal the blow-up
+    steppers = [ScaleStepper(1.0, dt=1.0), ScaleStepper(np.inf, dt=2.0)]
+    options = MgritOptions(n_levels=2, m=2, max_iters=3)
+    _, record = mgrit_solve(steppers, np.array([[1.0]]), TemporalGrid(8.0, 8),
+                            SpatialGrid(1.0, 1), options)
+    assert (record.diverged, record.diverged_at) == (True, 1)
+    assert record.divergence_cause == "non-finite iterate"
+
+
+def test_converged_run_has_no_divergence_cause():
+    model, sgrid, tgrid, steppers, u0, serial = _burgers_setup()
+    options = MgritOptions(n_levels=3, m=2, max_iters=3)
+    _, record = mgrit_solve(steppers, u0, tgrid, sgrid, options,
+                            reference=serial.trajectory.values)
+    assert not record.diverged
+    assert record.diverged_at is None and record.divergence_cause is None
+
+
 @pytest.mark.parametrize("parallelism", [2, 3, 8])
 def test_parallelism_is_bitwise_deterministic_matched(parallelism):
     model, sgrid, tgrid, steppers, u0, serial = _burgers_setup()

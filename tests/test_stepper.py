@@ -1,10 +1,14 @@
 """Runge-Kutta steppers and the matched coarse-step family."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mgritlab import (
     ComposedStepper,
     ConfigError,
+    DimensionError,
     MatchedLFCoarse,
     MatchedLFFine,
     RediscretizedLF,
@@ -221,6 +225,112 @@ def test_matched_coarse_validation():
         MatchedLFCoarse(model, grid, 0.01, 2, order=2)
     with pytest.raises(ConfigError):
         MatchedLFCoarse(model, grid, 0.01, 0, order=1)
+
+
+# ----------------------------------------------------------------------
+# padded kernel against the rolled formulas
+# ----------------------------------------------------------------------
+
+def _roll_average(v):
+    return 0.5 * (np.roll(v, -1, axis=-1) + np.roll(v, 1, axis=-1))
+
+
+def _roll_difference(f, dx):
+    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * dx)
+
+
+def _roll_oracle(stepper, u):
+    """The matched family written with np.roll, one operator per class."""
+    flux, dx = stepper.model.flux, stepper.dx
+    if not isinstance(stepper, MatchedLFCoarse):
+        return _roll_average(u) - stepper.dt * _roll_difference(flux(u), dx)
+    m = stepper.m_effective
+    if stepper.order == 0:
+        averaged = u
+        for _ in range(m):
+            averaged = _roll_average(averaged)
+        return averaged - stepper.dt * _roll_difference(flux(u), dx)
+    acc = _roll_difference(flux(u), dx)
+    v = u
+    for _ in range(m - 1):
+        v = _roll_average(v)
+        acc = _roll_average(acc) + _roll_difference(flux(v), dx)
+    return _roll_average(v) - stepper.dt_fine * acc
+
+
+def _matched_stepper(kind, n_cells, dt, m):
+    model, grid = make_model("burgers"), SpatialGrid(1.0, n_cells)
+    if kind == "fine":
+        return MatchedLFFine(model, grid, dt)
+    if kind == "rediscretized":
+        return RediscretizedLF(model, grid, dt * m)
+    return MatchedLFCoarse(model, grid, dt, m, order=int(kind[-1]))
+
+
+@st.composite
+def _matched_cases(draw):
+    """A stepper of the matched family (m_effective up to 3x the cell
+    count, so the padding can be wider than the grid) and an input of batch
+    shape (), (k,) or (j, k), as a contiguous array or a strided or
+    transposed view."""
+    n_cells = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3 * n_cells + 2))
+    kind = draw(st.sampled_from(["fine", "rediscretized", "order-0",
+                                 "order-1"]))
+    dt = draw(st.floats(1e-3, 0.5)) / n_cells
+    batch = draw(st.sampled_from([(), (3,), (2, 3)]))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    shape = batch + (1, n_cells)
+    if layout == "strided":
+        shape = batch + (1, 2 * n_cells)
+    elif layout == "transposed":
+        shape = (n_cells, 1) + batch[::-1]
+    values = draw(hnp.arrays(np.float64, shape,
+                             elements=st.floats(-2.0, 2.0, width=64)))
+    if layout == "strided":
+        values = values[..., ::2]
+    elif layout == "transposed":
+        values = values.T
+    assert values.shape == batch + (1, n_cells)
+    return _matched_stepper(kind, n_cells, dt, m), values
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_matched_cases())
+def test_matched_family_bitwise_equals_rolled_formulas(case):
+    stepper, u = case
+    out = stepper.advance(u)
+    expected = _roll_oracle(stepper, np.array(u))
+    assert out.shape == u.shape
+    assert np.array_equal(out, expected)
+    # bitwise, signed zeros included
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_cells,m", [(4, 9), (3, 64), (1, 5)])
+def test_matched_coarse_padding_wider_than_grid(n_cells, m):
+    rng = np.random.default_rng(n_cells + m)
+    u = rng.uniform(-1, 1, size=(2, 1, n_cells))
+    for kind in ("order-0", "order-1"):
+        stepper = _matched_stepper(kind, n_cells, 0.1 / n_cells, m)
+        assert np.array_equal(stepper.advance(u), _roll_oracle(stepper, u))
+
+
+def test_stencil_helpers_match_rolled_formulas():
+    rng = np.random.default_rng(11)
+    u = rng.uniform(-1, 1, size=(3, 2, 7))[..., ::-1]
+    assert np.array_equal(neighbor_average(u), _roll_average(u))
+    assert np.array_equal(central_difference(u, 0.3),
+                          _roll_difference(u, 0.3))
+
+
+@pytest.mark.parametrize("kind", ["fine", "rediscretized", "order-0",
+                                  "order-1"])
+@pytest.mark.parametrize("shape", [(8,), (2, 8), (4, 3, 8)])
+def test_matched_family_rejects_wrong_shapes(kind, shape):
+    stepper = _matched_stepper(kind, 8, 0.01, 4)
+    with pytest.raises(DimensionError):
+        stepper.advance(np.zeros(shape))
 
 
 # ----------------------------------------------------------------------

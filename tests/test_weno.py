@@ -553,6 +553,42 @@ def test_characteristic_interface_states_do_not_depend_on_the_batch(kind, k):
         assert np.array_equal(right[lo:hi], part[1])
 
 
+def _rolled_characteristic_right_states(model, field, tables):
+    """Right-side states from cell i+1's window and rolled eigenvectors."""
+    _, right_vec, left_vec = model.eigen_cells(field)
+    right_next = np.roll(right_vec, -1, axis=-3)
+    left_next = np.roll(left_vec, -1, axis=-3)
+    n, k = field.shape[-1], tables.k
+    cells = np.arange(n)[:, None]
+    idx = (cells + 1 + np.arange(k, -k - 1, -1)[None, :]) % n
+    component = np.arange(field.shape[-2])[:, None]
+    char = left_next @ field[..., component, idx[:, None, :]]
+    rec = reconstruct_left(tables, EPS, char)
+    return np.swapaxes((right_next @ rec[..., None])[..., 0], -1, -2)
+
+
+@pytest.mark.parametrize("kind,k", [("shallow-water", 1), ("euler", 2),
+                                    ("euler", 3)])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_characteristic_right_states_bitwise_equal_rolled_form(kind, k,
+                                                               batch):
+    model = make_model(kind)
+    rng = np.random.default_rng(23)
+    x = (np.arange(12) + 0.5) / 12
+    phase = rng.uniform(size=batch + (1,))
+    h = 1.5 + 0.4 * np.sin(2 * np.pi * (x + phase))
+    vel = 0.3 * np.cos(2 * np.pi * (x + 2 * phase))
+    components = [h, h * vel]
+    if kind == "euler":
+        p = 1.2 + 0.3 * np.sin(2 * np.pi * (x - phase))
+        components.append(p / (model.gamma - 1) + 0.5 * h * vel ** 2)
+    field = np.stack(components, axis=-2)
+    tables = build_tables(k)
+    _, right = reconstruct_interface_states(model, field, tables, EPS)
+    expected = _rolled_characteristic_right_states(model, field, tables)
+    assert np.array_equal(right, expected)
+
+
 def test_interface_states_dimension_errors():
     model = make_model("burgers")
     tables = build_tables(2)
