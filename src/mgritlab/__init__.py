@@ -10,9 +10,9 @@ harness that writes convergence tables as CSV.
 from .errors import (ConfigError, DimensionError, ParseError,
                      PhysicalStateError)
 from .flux import (FluxConfig, SemiDiscreteOperator, WenoConfig, entropy_fix,
-                   lf_alpha, lf_flux, roe_flux, semi_discrete_rhs)
-from .grid import (SpatialGrid, TemporalGrid, Trajectory, max_cfl,
-                   rel_l2_spacetime_error, wrap_index)
+                   lf_alpha, lf_flux, roe_flux)
+from .grid import (SpatialGrid, TemporalGrid, Trajectory,
+                   rel_l2_spacetime_error)
 from .harness import (INITIAL_CONDITIONS, ConvergenceTable, ExperimentConfig,
                       ExperimentResult, SweepResult, apply_sweep_value,
                       assemble_table, emit_csv, experiment_table,
@@ -20,12 +20,11 @@ from .harness import (INITIAL_CONDITIONS, ConvergenceTable, ExperimentConfig,
                       run_experiment, run_sweep, validate_config, write_meta)
 from .mgrit import (ConvergenceRecord, MgritHierarchy, MgritOptions,
                     mgrit_solve)
-from .models import (Burgers, ConservationModel, EigenDecomposition, Euler,
-                     RoeAverage, ShallowWater, make_model)
+from .models import (Burgers, ConservationModel, Euler, ShallowWater,
+                     make_model)
 from .serial import SerialRun, discretise_ic, solve_serial
 from .stepper import (ComposedStepper, MatchedLFCoarse, MatchedLFFine,
-                      RediscretizedLF, RungeKuttaStepper, StepperSpec,
-                      central_difference, make_stepper, neighbor_average,
+                      RungeKuttaStepper, central_difference, neighbor_average,
                       step_fe, step_ssprk2, step_ssprk3)
 from .weno import (WenoTables, build_tables, nonlinear_weights,
                    reconstruct_interface_states, reconstruct_left,

@@ -163,8 +163,3 @@ class SemiDiscreteOperator:
         flux_before[..., 0] = flux_at[..., -1]
         return -(flux_at - flux_before) / self.space_grid.dx
 
-
-def semi_discrete_rhs(model: ConservationModel, space_grid: SpatialGrid,
-                      config: FluxConfig, field: np.ndarray) -> np.ndarray:
-    """One-shot evaluation of the semi-discrete operator."""
-    return SemiDiscreteOperator(model, space_grid, config).rhs(field)

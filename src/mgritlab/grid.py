@@ -14,11 +14,6 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 
-def wrap_index(i, n: int):
-    """Map cell index i onto the periodic range [0, n). Accepts arrays."""
-    return i % n
-
-
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic 1D mesh on [0, length)."""
@@ -107,10 +102,3 @@ def rel_l2_spacetime_error(candidate: np.ndarray, reference: np.ndarray) -> floa
         raise ValueError("reference trajectory has zero norm")
     return float(np.linalg.norm(candidate - reference)) / ref_norm
 
-
-def max_cfl(trajectory: np.ndarray, model, dt: float, dx: float) -> float:
-    """Largest |eigenvalue| * dt / dx over all nodes and cells."""
-    speed = 0.0
-    for state in trajectory:
-        speed = max(speed, float(np.max(model.max_abs_speed(state))))
-    return speed * dt / dx

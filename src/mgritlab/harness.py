@@ -31,20 +31,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError, PhysicalStateError
-from .flux import FLUX_KINDS, FluxConfig, SemiDiscreteOperator, WenoConfig
+from .flux import FluxConfig, SemiDiscreteOperator, WenoConfig
 from .grid import SpatialGrid, TemporalGrid
-from .mgrit import (CYCLE_KINDS, DEFAULT_DIVERGENCE_THRESHOLD, GUESS_KINDS,
-                    RELAXATION_KINDS, ConvergenceRecord, MgritOptions,
-                    mgrit_solve)
-from .models import DEFAULT_GAMMA, DEFAULT_GRAVITY, make_model
+from .mgrit import (DEFAULT_DIVERGENCE_THRESHOLD, ConvergenceRecord,
+                    MgritOptions, mgrit_solve)
+from .models import (DEFAULT_GAMMA, DEFAULT_GRAVITY, ConservationModel,
+                     make_model)
 from .serial import SerialRun, discretise_ic, solve_serial
-from .stepper import (ComposedStepper, MatchedLFCoarse, MatchedLFFine,
-                      RediscretizedLF, RungeKuttaStepper)
+from .stepper import (RK_ORDERS, ComposedStepper, MatchedLFCoarse,
+                      MatchedLFFine, RungeKuttaStepper)
 from .weno import DEFAULT_EPSILON
 
-RK_KINDS = ("fe", "ssprk2", "ssprk3")
 COARSE_KINDS = ("rediscretize", "matched-0", "matched-1", "exact")
-_RK_ORDER = {"fe": 1, "ssprk2": 2, "ssprk3": 3}
 
 
 # -- named initial conditions -------------------------------------------------
@@ -234,53 +232,37 @@ _SWEEPABLE = ("n_x", "n_t", "n_levels", "m", "cycle", "relaxation",
 
 def apply_sweep_value(config: ExperimentConfig, key: str,
                       raw: str) -> ExperimentConfig:
-    """The config with one swept key replaced by a parsed raw value."""
+    """The config with one swept key replaced by a parsed raw value.
+
+    Only the value's syntax is checked here; validate_config or a run
+    checks the resulting config."""
     if key == "grid":
         # compound mesh key: "<n_x>x<n_t>"
         try:
             nx_raw, nt_raw = raw.lower().split("x")
-            updated = dataclasses.replace(config, n_x=int(nx_raw),
-                                          n_t=int(nt_raw))
+            return dataclasses.replace(config, n_x=int(nx_raw),
+                                       n_t=int(nt_raw))
         except ValueError:
             raise ConfigError(f"bad grid value '{raw}', expected "
                               f"'<n_x>x<n_t>'") from None
-    else:
-        try:
-            updated = dataclasses.replace(config, **{key: _KEY_PARSERS[key](raw)})
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep value '{raw}' for '{key}': {exc}") \
-                from None
-    validate_config(updated)
-    return updated
+    try:
+        return dataclasses.replace(config, **{key: _KEY_PARSERS[key](raw)})
+    except ValueError as exc:
+        raise ConfigError(f"bad sweep value '{raw}' for '{key}': {exc}") \
+            from None
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    """Cross-field checks shared by the parser and the sweep driver."""
-    # checks the problem name and the model's own parameters
-    make_model(config.problem, gravity=config.gravity, gamma=config.gamma)
-    if config.ic not in INITIAL_CONDITIONS:
-        raise ConfigError(f"unknown initial condition '{config.ic}'")
+    """Check a config by building every object a run of it builds."""
+    _setup(config)
+
+
+def _check_cross_field_rules(config: ExperimentConfig) -> None:
+    """The rules that no object built from the config owns."""
     ic_model, _ = INITIAL_CONDITIONS[config.ic]
     if ic_model != config.problem:
         raise ConfigError(f"initial condition '{config.ic}' belongs to model "
                           f"'{ic_model}', not '{config.problem}'")
-    if config.n_levels < 2:
-        raise ConfigError(f"need at least 2 levels, got {config.n_levels}")
-    if config.m < 2:
-        raise ConfigError(f"coarsening factor must be >= 2, got {config.m}")
-    if config.cycle not in CYCLE_KINDS:
-        raise ConfigError(f"unknown cycle '{config.cycle}', "
-                          f"expected one of {CYCLE_KINDS}")
-    if config.relaxation not in RELAXATION_KINDS:
-        raise ConfigError(f"unknown relaxation '{config.relaxation}', "
-                          f"expected one of {RELAXATION_KINDS}")
-    if config.restriction_guess not in GUESS_KINDS:
-        raise ConfigError(f"unknown restriction guess "
-                          f"'{config.restriction_guess}', "
-                          f"expected one of {GUESS_KINDS}")
-    if config.flux not in FLUX_KINDS:
-        raise ConfigError(f"unknown flux '{config.flux}', "
-                          f"expected one of {FLUX_KINDS}")
     span = config.m ** (config.n_levels - 1)
     if config.n_t % span != 0:
         raise ConfigError(
@@ -291,27 +273,21 @@ def validate_config(config: ExperimentConfig) -> None:
     if config.sweep is not None and config.sweep not in _SWEEPABLE:
         raise ConfigError(f"key '{config.sweep}' is not sweepable; "
                           f"choose from {_SWEEPABLE}")
-    for orders, name in ((config.weno_order, "weno_order"),):
-        if len(orders) not in (1, config.n_levels):
+    for name in ("weno_order", "stepper"):
+        if len(getattr(config, name)) not in (1, config.n_levels):
             raise ConfigError(
                 f"{name} lists one value or one per level "
-                f"({config.n_levels}), got {len(orders)}")
+                f"({config.n_levels}), got {len(getattr(config, name))}")
     kinds = config.stepper
-    if len(kinds) not in (1, config.n_levels):
-        raise ConfigError(f"stepper lists one value or one per level "
-                          f"({config.n_levels}), got {len(kinds)}")
     if "matched-lf" in kinds:
         if len(kinds) != 1:
             raise ConfigError("matched-lf cannot be mixed with per-level "
                               "stepper kinds")
-        if config.problem != "burgers":
-            raise ConfigError("matched-lf steppers exist for the scalar "
-                              "model only")
     else:
         for kind in kinds:
-            if kind not in RK_KINDS:
+            if kind not in RK_ORDERS:
                 raise ConfigError(f"unknown stepper '{kind}', expected "
-                                  f"matched-lf or one of {RK_KINDS}")
+                                  f"matched-lf or one of {tuple(RK_ORDERS)}")
         if config.coarse in ("matched-0", "matched-1"):
             raise ConfigError("matched coarse operators require "
                               "stepper = matched-lf")
@@ -331,6 +307,11 @@ def build_steppers(config: ExperimentConfig, model, space_grid: SpatialGrid,
                    time_grid: TemporalGrid) -> list:
     """One propagator per level, finest first."""
     dt0 = time_grid.dt
+    # built, and so checked, even where the matched steppers ignore them
+    fluxes = [FluxConfig(kind=config.flux,
+                         weno=WenoConfig(order=order, epsilon=config.epsilon,
+                                         characteristic=config.characteristic))
+              for order in _expand(config.weno_order, config.n_levels)]
     steppers = []
     if config.stepper == ("matched-lf",):
         fine = MatchedLFFine(model, space_grid, dt0)
@@ -340,26 +321,56 @@ def build_steppers(config: ExperimentConfig, model, space_grid: SpatialGrid,
             if config.coarse == "exact":
                 steppers.append(ComposedStepper(fine, m_eff))
             elif config.coarse == "rediscretize":
-                steppers.append(RediscretizedLF(model, space_grid,
-                                                dt0 * m_eff))
+                steppers.append(MatchedLFFine(model, space_grid, dt0 * m_eff))
             else:
                 order = 0 if config.coarse == "matched-0" else 1
                 steppers.append(MatchedLFCoarse(model, space_grid, dt0,
                                                 m_eff, order))
         return steppers
     kinds = _expand(config.stepper, config.n_levels)
-    orders = _expand(config.weno_order, config.n_levels)
     for l in range(config.n_levels):
         if l > 0 and config.coarse == "exact":
             steppers.append(ComposedStepper(steppers[0], config.m ** l))
             continue
-        weno = WenoConfig(order=orders[l], epsilon=config.epsilon,
-                          characteristic=config.characteristic)
-        op = SemiDiscreteOperator(model, space_grid,
-                                  FluxConfig(kind=config.flux, weno=weno))
+        op = SemiDiscreteOperator(model, space_grid, fluxes[l])
         steppers.append(RungeKuttaStepper(op.rhs, dt0 * config.m ** l,
-                                          _RK_ORDER[kinds[l]]))
+                                          RK_ORDERS[kinds[l]]))
     return steppers
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """Everything one run of a config builds before its first time step."""
+
+    config: ExperimentConfig
+    model: ConservationModel
+    space_grid: SpatialGrid
+    time_grid: TemporalGrid
+    state0: np.ndarray
+    steppers: list  # finest level first
+    options: MgritOptions
+
+
+def _setup(config: ExperimentConfig, *, parallelism: int | None = None,
+           max_iters: int | None = None) -> _Setup:
+    """Build a run's objects, overrides applied; each constructor checks
+    the keys it takes, and _check_cross_field_rules the rest."""
+    model = make_model(config.problem, gravity=config.gravity,
+                       gamma=config.gamma)
+    options = MgritOptions(
+        n_levels=config.n_levels, m=config.m, cycle=config.cycle,
+        relaxation=config.relaxation, guess=config.restriction_guess,
+        max_iters=config.max_iters if max_iters is None else max_iters,
+        divergence_threshold=config.divergence_threshold,
+        parallelism=config.parallelism if parallelism is None
+        else parallelism)
+    space_grid = SpatialGrid(config.length, config.n_x)
+    time_grid = TemporalGrid(config.horizon, config.n_t)
+    state0 = initial_state(config.ic, space_grid, config.length)
+    _check_cross_field_rules(config)
+    steppers = build_steppers(config, model, space_grid, time_grid)
+    return _Setup(config, model, space_grid, time_grid, state0, steppers,
+                  options)
 
 
 @dataclass
@@ -376,42 +387,30 @@ class ExperimentResult:
 def run_experiment(config: ExperimentConfig, *, parallelism: int | None = None,
                    max_iters: int | None = None) -> ExperimentResult:
     """Serial reference plus one full MGRIT solve for a single config."""
-    validate_config(config)
+    setup = _setup(config, parallelism=parallelism, max_iters=max_iters)
     if config.sweep is not None:
         raise ConfigError("config declares a sweep; use run_sweep")
-    return _run_single(config, parallelism=parallelism, max_iters=max_iters)
+    return _run_single(setup)
 
 
-def _run_single(config: ExperimentConfig, *, parallelism: int | None = None,
-                max_iters: int | None = None) -> ExperimentResult:
+def _run_single(setup: _Setup) -> ExperimentResult:
     start = time.perf_counter()
-    parallelism = config.parallelism if parallelism is None else parallelism
-    max_iters = config.max_iters if max_iters is None else max_iters
-    model = make_model(config.problem, gravity=config.gravity,
-                       gamma=config.gamma)
-    space_grid = SpatialGrid(config.length, config.n_x)
-    time_grid = TemporalGrid(config.horizon, config.n_t)
-    state0 = initial_state(config.ic, space_grid, config.length)
-    steppers = build_steppers(config, model, space_grid, time_grid)
-    dts = tuple(time_grid.dt * config.m ** l for l in range(config.n_levels))
+    config, space_grid = setup.config, setup.space_grid
+    dts = tuple(setup.time_grid.dt * config.m ** l
+                for l in range(config.n_levels))
     try:
-        serial = solve_serial(steppers[0], state0, time_grid, space_grid,
-                              model)
+        serial = solve_serial(setup.steppers[0], setup.state0,
+                              setup.time_grid, space_grid, setup.model)
     except PhysicalStateError as exc:
-        nan_rows = np.full(max_iters + 1, np.nan)
+        nan_rows = np.full(setup.options.max_iters + 1, np.nan)
         record = ConvergenceRecord(errors=nan_rows, residuals=nan_rows.copy())
         return ExperimentResult(
             config=config, record=record, serial=None, level_dts=dts,
             level_cfls=(np.nan,) * len(dts),
             wall_seconds=time.perf_counter() - start,
             failure=f"reference: {exc}")
-    options = MgritOptions(
-        n_levels=config.n_levels, m=config.m, cycle=config.cycle,
-        relaxation=config.relaxation, guess=config.restriction_guess,
-        max_iters=max_iters,
-        divergence_threshold=config.divergence_threshold,
-        parallelism=parallelism)
-    _, record = mgrit_solve(steppers, state0, time_grid, space_grid, options,
+    _, record = mgrit_solve(setup.steppers, setup.state0, setup.time_grid,
+                            space_grid, setup.options,
                             reference=serial.trajectory.values)
     cfls = tuple(serial.max_speed * dt / space_grid.dx for dt in dts)
     wall = time.perf_counter() - start
@@ -435,17 +434,17 @@ class SweepResult:
 
 def run_sweep(config: ExperimentConfig, *, parallelism: int | None = None,
               max_iters: int | None = None) -> SweepResult:
-    """One run per sweep value; a failed column never aborts its siblings."""
-    validate_config(config)
+    """One run per sweep value. Every column is built, and so checked,
+    before the first one runs; a failed column never aborts its siblings."""
+    _setup(config, parallelism=parallelism, max_iters=max_iters)
     if config.sweep is None:
         raise ConfigError("config declares no sweep; use run_experiment")
     base = dataclasses.replace(config, sweep=None, sweep_values=())
-    names, results = [], []
-    for raw in config.sweep_values:
-        names.append(f"{config.sweep}={raw}")
-        column_config = apply_sweep_value(base, config.sweep, raw)
-        results.append(_run_single(column_config, parallelism=parallelism,
-                                   max_iters=max_iters))
+    names = [f"{config.sweep}={raw}" for raw in config.sweep_values]
+    setups = [_setup(apply_sweep_value(base, config.sweep, raw),
+                     parallelism=parallelism, max_iters=max_iters)
+              for raw in config.sweep_values]
+    results = [_run_single(setup) for setup in setups]
     table = assemble_table(names, [r.record for r in results])
     return SweepResult(table=table, runs=results)
 

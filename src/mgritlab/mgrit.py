@@ -80,11 +80,14 @@ class MgritOptions:
         if self.m < 2:
             raise ConfigError(f"coarsening factor must be >= 2, got {self.m}")
         if self.cycle not in CYCLE_KINDS:
-            raise ConfigError(f"unknown cycle '{self.cycle}'")
+            raise ConfigError(f"unknown cycle '{self.cycle}', "
+                              f"expected one of {CYCLE_KINDS}")
         if self.relaxation not in RELAXATION_KINDS:
-            raise ConfigError(f"unknown relaxation '{self.relaxation}'")
+            raise ConfigError(f"unknown relaxation '{self.relaxation}', "
+                              f"expected one of {RELAXATION_KINDS}")
         if self.guess not in GUESS_KINDS:
-            raise ConfigError(f"unknown restriction guess '{self.guess}'")
+            raise ConfigError(f"unknown restriction guess '{self.guess}', "
+                              f"expected one of {GUESS_KINDS}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.divergence_threshold <= 0.0:

@@ -13,46 +13,12 @@ mid-sweep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, DimensionError, PhysicalStateError
 
 DEFAULT_GRAVITY = 9.81
 DEFAULT_GAMMA = 5.0 / 3.0
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues and eigenvector matrices of the flux Jacobian at one state.
-
-    Columns of `right` are the right eigenvectors r_k; rows of `left` are the
-    dual basis, so left @ right == identity.
-    """
-
-    values: np.ndarray  # (D,)
-    right: np.ndarray   # (D, D)
-    left: np.ndarray    # (D, D)
-
-    def to_characteristic(self, vec: np.ndarray) -> np.ndarray:
-        """Expansion coefficients of vec in the right-eigenvector basis."""
-        return self.left @ vec
-
-    def from_characteristic(self, coeffs: np.ndarray) -> np.ndarray:
-        """Reassemble a state-space vector from characteristic coefficients."""
-        return self.right @ coeffs
-
-
-@dataclass(frozen=True)
-class RoeAverage:
-    """Roe-averaged quantities linking two states (model dependent)."""
-
-    u_hat: float
-    h_hat: float | None = None
-    rho_hat: float | None = None
-    enthalpy_hat: float | None = None
-    sound_speed_hat: float | None = None
 
 
 def _first_bad_location(mask: np.ndarray) -> str:
@@ -97,14 +63,6 @@ class ConservationModel:
         """(values, right, left) of the Roe linearisation per interface."""
         raise NotImplementedError
 
-    def eigen(self, state: np.ndarray) -> EigenDecomposition:
-        """Decomposition at a single state vector of shape (D,)."""
-        lam, right, left = self.eigen_cells(np.asarray(state, float).reshape(-1, 1))
-        return EigenDecomposition(lam[0], right[0], left[0])
-
-    def roe_average(self, ul: np.ndarray, ur: np.ndarray) -> RoeAverage:
-        raise NotImplementedError
-
 
 class Burgers(ConservationModel):
     """Scalar model with flux u^2/2; the single wave moves at speed u."""
@@ -134,11 +92,6 @@ class Burgers(ConservationModel):
         lam = 0.5 * (self.eigenvalues(ul) + self.eigenvalues(ur))
         eye = np.ones(lam.shape + (1,))
         return lam, eye, eye
-
-    def roe_average(self, ul, ur):
-        ul = np.asarray(ul, float).reshape(-1)
-        ur = np.asarray(ur, float).reshape(-1)
-        return RoeAverage(u_hat=float(0.5 * (ul[0] + ur[0])))
 
 
 class ShallowWater(ConservationModel):
@@ -196,26 +149,15 @@ class ShallowWater(ConservationModel):
         h, vel = self._depth_velocity(u)
         return self._eigen_from(vel, np.sqrt(self.gravity * h))
 
-    def _roe_quantities(self, ul, ur):
+    def roe_eigen(self, ul, ur):
+        self._check_shape(ul)
+        self._check_shape(ur)
         hl, vl = self._depth_velocity(ul)
         hr, vr = self._depth_velocity(ur)
         sl, sr = np.sqrt(hl), np.sqrt(hr)
         h_hat = 0.5 * (hl + hr)
         u_hat = (sl * vl + sr * vr) / (sl + sr)
-        return h_hat, u_hat, np.sqrt(self.gravity * h_hat)
-
-    def roe_eigen(self, ul, ur):
-        self._check_shape(ul)
-        self._check_shape(ur)
-        _, u_hat, c_hat = self._roe_quantities(ul, ur)
-        return self._eigen_from(u_hat, c_hat)
-
-    def roe_average(self, ul, ur):
-        ul = np.asarray(ul, float).reshape(self.n_components, 1)
-        ur = np.asarray(ur, float).reshape(self.n_components, 1)
-        h_hat, u_hat, c_hat = self._roe_quantities(ul, ur)
-        return RoeAverage(u_hat=float(u_hat[0]), h_hat=float(h_hat[0]),
-                          sound_speed_hat=float(c_hat[0]))
+        return self._eigen_from(u_hat, np.sqrt(self.gravity * h_hat))
 
 
 class Euler(ConservationModel):
@@ -310,7 +252,9 @@ class Euler(ConservationModel):
         enthalpy = (u[..., 2, :] + p) / rho
         return self._eigen_from(vel, c, enthalpy)
 
-    def _roe_quantities(self, ul, ur):
+    def roe_eigen(self, ul, ur):
+        self._check_shape(ul)
+        self._check_shape(ur)
         rl, vl, pl = self._primitives(ul)
         rr, vr, pr = self._primitives(ur)
         hl = (ul[..., 2, :] + pl) / rl
@@ -323,21 +267,7 @@ class Euler(ConservationModel):
         if np.any(bad):
             raise PhysicalStateError("Roe average loses hyperbolicity in "
                                      + _first_bad_location(bad))
-        return sl * sr, u_hat, h_hat, np.sqrt(c_sq)
-
-    def roe_eigen(self, ul, ur):
-        self._check_shape(ul)
-        self._check_shape(ur)
-        _, u_hat, h_hat, c_hat = self._roe_quantities(ul, ur)
-        return self._eigen_from(u_hat, c_hat, h_hat)
-
-    def roe_average(self, ul, ur):
-        ul = np.asarray(ul, float).reshape(self.n_components, 1)
-        ur = np.asarray(ur, float).reshape(self.n_components, 1)
-        rho_hat, u_hat, h_hat, c_hat = self._roe_quantities(ul, ur)
-        return RoeAverage(u_hat=float(u_hat[0]), rho_hat=float(rho_hat[0]),
-                          enthalpy_hat=float(h_hat[0]),
-                          sound_speed_hat=float(c_hat[0]))
+        return self._eigen_from(u_hat, np.sqrt(c_sq), h_hat)
 
 
 _MODEL_KINDS = {

@@ -49,7 +49,6 @@ results are bitwise equal to them, at any batch shape.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -59,10 +58,8 @@ from .errors import ConfigError
 from .grid import SpatialGrid
 from .models import Burgers, ConservationModel
 
-STEPPER_KINDS = ("fe", "ssprk2", "ssprk3", "matched-lf-fine", "matched-lf-0",
-                 "matched-lf-1", "rediscretized-lf")
-
-_RK_ORDERS = {"fe": 1, "ssprk2": 2, "ssprk3": 3}
+# Runge-Kutta stepper names and the order of each
+RK_ORDERS = {"fe": 1, "ssprk2": 2, "ssprk3": 3}
 
 
 def step_fe(rhs: Callable, u: np.ndarray, dt: float) -> np.ndarray:
@@ -155,42 +152,15 @@ def lf_expansion(model: ConservationModel, u: np.ndarray, dx: float,
     return _average(v) - step * acc
 
 
-def _require_scalar_model(model: ConservationModel, kind: str) -> None:
-    if not isinstance(model, Burgers):
-        raise ConfigError(
-            f"stepper '{kind}' is defined for the scalar model only, "
-            f"got '{model.kind}'")
-
-
-class MatchedLFFine:
-    """One-step Lax-Friedrichs scheme Phi(u) = E u - dt D f(u)."""
-
-    kind = "matched-lf-fine"
-
-    def __init__(self, model: ConservationModel, space_grid: SpatialGrid,
-                 dt: float):
-        _require_scalar_model(model, self.kind)
-        self.model = model
-        self.dx = space_grid.dx
-        self.dt = dt
-
-    def advance(self, u: np.ndarray) -> np.ndarray:
-        return lf_expansion(self.model, u, self.dx, self.dt, 1, 0)
-
-
-class RediscretizedLF(MatchedLFFine):
-    """The fine one-step scheme rebuilt with the coarse step size."""
-
-    kind = "rediscretized-lf"
-
-
 class MatchedLFCoarse:
     """Truncated expansion of Phi^m, matching the fine scheme to the given
     order in dt; one application stands in for m_effective fine steps."""
 
     def __init__(self, model: ConservationModel, space_grid: SpatialGrid,
                  dt_fine: float, m_effective: int, order: int):
-        _require_scalar_model(model, f"matched-lf-{order}")
+        if not isinstance(model, Burgers):
+            raise ConfigError(f"matched-lf steppers are defined for the "
+                              f"scalar model only, got '{model.kind}'")
         if order not in (0, 1):
             raise ConfigError(f"matched coarse operators exist for orders 0 "
                               f"and 1, got {order}")
@@ -207,6 +177,16 @@ class MatchedLFCoarse:
         step = self.dt if self.order == 0 else self.dt_fine
         return lf_expansion(self.model, u, self.dx, step, self.m_effective,
                             self.order)
+
+
+class MatchedLFFine(MatchedLFCoarse):
+    """One-step Lax-Friedrichs scheme Phi(u) = E u - dt D f(u): the order-0
+    expansion of one step. Built with a coarse step size it is the
+    rediscretised coarse operator."""
+
+    def __init__(self, model: ConservationModel, space_grid: SpatialGrid,
+                 dt: float):
+        super().__init__(model, space_grid, dt, 1, 0)
 
 
 class ComposedStepper:
@@ -228,46 +208,3 @@ class ComposedStepper:
         for _ in range(self.repeats):
             u = self.inner.advance(u)
         return u
-
-
-@dataclass(frozen=True)
-class StepperSpec:
-    """Names a stepper kind; m_effective matters for matched coarse kinds."""
-
-    kind: str
-    m_effective: int = 1
-
-    def __post_init__(self):
-        if self.kind not in STEPPER_KINDS:
-            raise ConfigError(
-                f"unknown stepper kind '{self.kind}', "
-                f"expected one of {STEPPER_KINDS}")
-
-    @property
-    def order(self) -> int:
-        """Formal accuracy order in dt (0 for the zeroth-order matched op)."""
-        if self.kind in _RK_ORDERS:
-            return _RK_ORDERS[self.kind]
-        if self.kind == "matched-lf-0":
-            return 0
-        return 1
-
-
-def make_stepper(spec: StepperSpec, model: ConservationModel,
-                 space_grid: SpatialGrid, dt: float, rhs: Callable = None):
-    """Build the stepper named by spec.
-
-    Runge-Kutta kinds need a semi-discrete right-hand side; dt is the step
-    the operator takes on its own level. Matched coarse kinds take the fine
-    step size and emulate spec.m_effective fine steps per application.
-    """
-    if spec.kind in _RK_ORDERS:
-        if rhs is None:
-            raise ConfigError(f"stepper '{spec.kind}' needs a right-hand side")
-        return RungeKuttaStepper(rhs, dt, _RK_ORDERS[spec.kind])
-    if spec.kind == "matched-lf-fine":
-        return MatchedLFFine(model, space_grid, dt)
-    if spec.kind == "rediscretized-lf":
-        return RediscretizedLF(model, space_grid, dt)
-    order = 0 if spec.kind == "matched-lf-0" else 1
-    return MatchedLFCoarse(model, space_grid, dt, spec.m_effective, order)

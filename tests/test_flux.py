@@ -13,7 +13,6 @@ from mgritlab import (
     lf_flux,
     make_model,
     roe_flux,
-    semi_discrete_rhs,
 )
 
 
@@ -238,8 +237,8 @@ def test_rhs_vanishes_on_constant_fields(name, kind, order):
     base = {"burgers": [0.7], "shallow-water": [1.5, 0.3],
             "euler": [1.0, 0.2, 2.0]}[name]
     field = np.repeat(np.asarray(base)[:, None], grid.n_cells, axis=1)
-    out = semi_discrete_rhs(model, grid, FluxConfig(
-        kind=kind, weno=WenoConfig(order=order)), field)
+    out = SemiDiscreteOperator(model, grid, FluxConfig(
+        kind=kind, weno=WenoConfig(order=order))).rhs(field)
     assert np.max(np.abs(out)) < 1e-13
 
 
@@ -267,8 +266,8 @@ def test_rhs_telescopes_to_zero_total(name, kind, order):
         pressure = wave
         energy = pressure / (model.gamma - 1.0) + 0.5 * wave * vel ** 2
         field = np.stack([wave, wave * vel, energy])
-    out = semi_discrete_rhs(model, grid, FluxConfig(
-        kind=kind, weno=WenoConfig(order=order)), field)
+    out = SemiDiscreteOperator(model, grid, FluxConfig(
+        kind=kind, weno=WenoConfig(order=order))).rhs(field)
     assert np.max(np.abs(out.sum(axis=-1))) < 1e-12
 
 
@@ -285,20 +284,9 @@ def test_rhs_matches_hand_rolled_first_order_lf():
         flux[i] = 0.5 * (0.5 * ul * ul + 0.5 * ur * ur) \
             - 0.5 * alpha * (ur - ul)
     expected = -(flux - np.roll(flux, 1)) / grid.dx
-    out = semi_discrete_rhs(model, grid, FluxConfig(
-        kind="lf", weno=WenoConfig(order=1)), u[None, :])
+    out = SemiDiscreteOperator(model, grid, FluxConfig(
+        kind="lf", weno=WenoConfig(order=1))).rhs(u[None, :])
     assert out[0] == pytest.approx(expected, abs=1e-13)
-
-
-def test_one_shot_rhs_matches_operator():
-    model = make_model("burgers")
-    grid = SpatialGrid(1.0, 8)
-    rng = np.random.default_rng(3)
-    field = rng.uniform(-1, 1, size=(1, 8))
-    config = FluxConfig(kind="roe", weno=WenoConfig(order=3))
-    op = SemiDiscreteOperator(model, grid, config)
-    assert np.array_equal(semi_discrete_rhs(model, grid, config, field),
-                          op.rhs(field))
 
 
 def test_rhs_batched_fields_match_individual_evaluation():

@@ -4,21 +4,8 @@ import numpy as np
 import pytest
 
 from mgritlab.errors import ConfigError, DimensionError
-from mgritlab.grid import (SpatialGrid, TemporalGrid, Trajectory, max_cfl,
-                           rel_l2_spacetime_error, wrap_index)
-from mgritlab.models import Burgers
-
-
-def test_wrap_index_identity_case():
-    assert wrap_index(5, 8) == 5
-
-
-def test_wrap_index_left_neighbour_of_cell_zero():
-    assert wrap_index(-1, 8) == 7
-
-
-def test_wrap_index_reduces_large_indices():
-    assert wrap_index(17, 8) == 1
+from mgritlab.grid import (SpatialGrid, TemporalGrid, Trajectory,
+                           rel_l2_spacetime_error)
 
 
 def test_spatial_grid_dx_times_cells_recovers_length():
@@ -89,12 +76,3 @@ def test_rel_error_rejects_mismatched_shapes_and_zero_reference():
     with pytest.raises(ValueError):
         rel_l2_spacetime_error(np.ones((2, 1, 4)), np.zeros((2, 1, 4)))
 
-
-def test_max_cfl_zero_state():
-    values = np.zeros((3, 1, 4))
-    assert max_cfl(values, Burgers(), dt=0.1, dx=0.5) == 0.0
-
-
-def test_max_cfl_single_cell_hand_value():
-    values = np.full((1, 1, 1), 2.0)
-    assert max_cfl(values, Burgers(), dt=0.1, dx=0.5) == pytest.approx(0.4)

@@ -212,6 +212,7 @@ def test_validate_rejects_unknown_enumerations():
     for overrides in (dict(cycle="w"), dict(relaxation="c"),
                       dict(restriction_guess="zero"), dict(flux="central"),
                       dict(coarse="extrapolate"), dict(problem="advection"),
+                      dict(stepper=("rk4",)),
                       dict(ic="square-wave"), dict(sweep="problem",
                                                    sweep_values=("euler",))):
         with pytest.raises(ConfigError):
@@ -595,6 +596,78 @@ def test_cli_sweep_on_plain_config_fails_cleanly(tmp_path, capsys):
     cfg = _write_config(tmp_path, MATCHED_SMALL)
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert "sweep" in capsys.readouterr().err
+
+
+def test_cli_verify_passes_every_check(capsys):
+    assert main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    assert all(line.startswith("PASS  ") for line in lines)
+
+
+@pytest.fixture
+def serial_calls(monkeypatch):
+    """The serial reference solves started through the harness."""
+    from mgritlab import harness
+    calls, solve = [], harness.solve_serial
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_serial", spy)
+    return calls
+
+
+BAD_SWEEP_VALUE = MINIMAL + """
+stepper = ssprk3
+sweep = weno_order
+sweep_values = 1, 4
+"""
+
+
+def test_bad_sweep_value_is_rejected_before_any_column_runs(
+        tmp_path, capsys, serial_calls):
+    with pytest.raises(ConfigError, match="reconstruction order 4"):
+        run_sweep(parse_config(BAD_SWEEP_VALUE))
+    cfg = _write_config(tmp_path, BAD_SWEEP_VALUE)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    assert serial_calls == []
+
+
+@pytest.mark.parametrize("keys,overrides", [
+    (dict(parallelism=0), {}),
+    (dict(max_iters=-1), {}),
+    (dict(divergence_threshold=-1.0), {}),
+    ({}, dict(parallelism=0)),
+    ({}, dict(max_iters=-1)),
+])
+def test_bad_run_controls_are_rejected_before_the_reference(
+        keys, overrides, serial_calls):
+    with pytest.raises(ConfigError):
+        run_experiment(_config(**keys), **overrides)
+    assert serial_calls == []
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("flag", ["--parallelism=0", "--max-iters=-1"])
+def test_cli_bad_run_override_exits_two_before_the_reference(
+        tmp_path, capsys, serial_calls, command, flag):
+    text = MATCHED_SMALL
+    if command == "sweep":
+        text += "sweep = n_t\nsweep_values = 64, 128\n"
+    cfg = _write_config(tmp_path, text)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out),
+                 flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    assert serial_calls == []
 
 
 # ----------------------------------------------------------------------

@@ -67,26 +67,32 @@ def test_euler_flux_hand_value():
 # -- eigenstructure -------------------------------------------------------------
 
 
+def _eigen_at(model, state):
+    """(values, right, left) of eigen_cells at one state of shape (D,)."""
+    lam, right, left = model.eigen_cells(np.asarray(state, float)[:, None])
+    return lam[0], right[0], left[0]
+
+
 def test_burgers_eigen_is_scalar_identity():
-    decomp = Burgers().eigen(np.array([3.0]))
-    np.testing.assert_allclose(decomp.values, [3.0])
-    np.testing.assert_allclose(decomp.right, [[1.0]])
-    np.testing.assert_allclose(decomp.left, [[1.0]])
+    lam, right, left = _eigen_at(Burgers(), [3.0])
+    np.testing.assert_allclose(lam, [3.0])
+    np.testing.assert_allclose(right, [[1.0]])
+    np.testing.assert_allclose(left, [[1.0]])
 
 
 def test_shallow_water_eigen_at_rest():
     model = ShallowWater(gravity=1.0)
-    decomp = model.eigen(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(decomp.values, [-1.0, 1.0])
-    np.testing.assert_allclose(decomp.right[:, 0], [1.0, -1.0])
-    np.testing.assert_allclose(decomp.right[:, 1], [1.0, 1.0])
+    lam, right, _ = _eigen_at(model, [1.0, 0.0])
+    np.testing.assert_allclose(lam, [-1.0, 1.0])
+    np.testing.assert_allclose(right[:, 0], [1.0, -1.0])
+    np.testing.assert_allclose(right[:, 1], [1.0, 1.0])
 
 
 def test_euler_eigen_at_rest():
     model = Euler(gamma=5.0 / 3.0)
-    decomp = model.eigen(np.array([1.0, 0.0, 1.0]))
+    lam, _, _ = _eigen_at(model, [1.0, 0.0, 1.0])
     c = np.sqrt(10.0) / 3.0
-    np.testing.assert_allclose(decomp.values, [-c, 0.0, c], atol=1e-15)
+    np.testing.assert_allclose(lam, [-c, 0.0, c], atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])
@@ -118,20 +124,16 @@ def test_right_eigenvectors_diagonalise_the_flux_jacobian(kind):
 
 def test_characteristic_round_trip_and_unit_vector_cases():
     model = ShallowWater(gravity=1.0)
-    decomp = model.eigen(np.array([1.0, 0.0]))
+    _, right, left = _eigen_at(model, [1.0, 0.0])
     rng = np.random.default_rng(13)
     u = rng.normal(size=2)
-    back = decomp.from_characteristic(decomp.to_characteristic(u))
-    np.testing.assert_allclose(back, u, atol=1e-12)
+    np.testing.assert_allclose(right @ (left @ u), u, atol=1e-12)
     # a right eigenvector maps to a unit vector in characteristic space
-    w0 = decomp.to_characteristic(decomp.right[:, 0])
-    np.testing.assert_allclose(w0, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(left @ right[:, 0], [1.0, 0.0], atol=1e-12)
     # the scalar transform is the identity
-    scalar = Burgers().eigen(np.array([5.0]))
-    np.testing.assert_allclose(scalar.to_characteristic(np.array([5.0])),
-                               [5.0])
-    np.testing.assert_allclose(scalar.from_characteristic(np.array([5.0])),
-                               [5.0])
+    _, right, left = _eigen_at(Burgers(), [5.0])
+    np.testing.assert_allclose(left @ np.array([5.0]), [5.0])
+    np.testing.assert_allclose(right @ np.array([5.0]), [5.0])
 
 
 def _euler_states(gamma, primitives):
@@ -205,9 +207,10 @@ def test_shallow_water_roe_average_hand_value():
     model = ShallowWater(gravity=1.0)
     left_state = np.array([[4.0], [4.0]])    # depth 4, velocity 1
     right_state = np.array([[1.0], [-2.0]])  # depth 1, velocity -2
-    avg = model.roe_average(left_state, right_state)
-    assert avg.h_hat == pytest.approx(2.5)
-    assert avg.u_hat == pytest.approx(0.0, abs=1e-15)
+    # Roe average: h = 2.5 and u = 0, so the speeds are u -+ sqrt(g h)
+    lam, _, _ = model.roe_eigen(left_state, right_state)
+    np.testing.assert_allclose(lam, [[-np.sqrt(2.5), np.sqrt(2.5)]],
+                               atol=1e-15)
 
 
 # -- admissibility ----------------------------------------------------------------

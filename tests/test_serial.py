@@ -9,12 +9,10 @@ from mgritlab import (
     RungeKuttaStepper,
     SemiDiscreteOperator,
     SpatialGrid,
-    StepperSpec,
     TemporalGrid,
     WenoConfig,
     discretise_ic,
     make_model,
-    make_stepper,
     solve_serial,
 )
 
@@ -149,7 +147,6 @@ def test_wall_time_is_recorded():
     model = make_model("burgers")
     sgrid = SpatialGrid(1.0, 16)
     tgrid = TemporalGrid(0.1, 4)
-    stepper = make_stepper(StepperSpec("matched-lf-fine"), model, sgrid,
-                           tgrid.dt)
+    stepper = MatchedLFFine(model, sgrid, tgrid.dt)
     run = solve_serial(stepper, np.zeros((1, 16)), tgrid, sgrid, model=model)
     assert run.wall_seconds >= 0.0

@@ -9,20 +9,23 @@ from mgritlab import (
     ComposedStepper,
     ConfigError,
     DimensionError,
+    ExperimentConfig,
+    FluxConfig,
     MatchedLFCoarse,
     MatchedLFFine,
-    RediscretizedLF,
     RungeKuttaStepper,
+    SemiDiscreteOperator,
     SpatialGrid,
-    StepperSpec,
+    TemporalGrid,
+    WenoConfig,
     central_difference,
     make_model,
-    make_stepper,
     neighbor_average,
     step_fe,
     step_ssprk2,
     step_ssprk3,
 )
+from mgritlab.harness import build_steppers
 
 
 # ----------------------------------------------------------------------
@@ -198,14 +201,17 @@ def test_matched_coarse_approximates_composed_fine_step(order, floor):
 
 
 def test_rediscretized_uses_given_step_directly():
+    # the rediscretised coarse operator is the fine scheme built with the
+    # coarse step m dt: E u - (m dt) D f(u)
     model, grid = _burgers_grid(16)
     rng = np.random.default_rng(3)
     u = rng.uniform(-1, 1, size=(1, 16))
-    dt = 0.4 * grid.dx
-    redisc = RediscretizedLF(model, grid, dt)
-    fine = MatchedLFFine(model, grid, dt)
-    assert redisc.dt == dt
-    assert np.array_equal(redisc.advance(u), fine.advance(u))
+    coarse_dt = 4 * (0.1 * grid.dx)
+    redisc = MatchedLFFine(model, grid, coarse_dt)
+    assert redisc.dt == coarse_dt
+    expected = neighbor_average(u) \
+        - coarse_dt * central_difference(model.flux(u), grid.dx)
+    assert np.array_equal(redisc.advance(u), expected)
 
 
 def test_matched_family_rejects_system_models():
@@ -215,8 +221,6 @@ def test_matched_family_rejects_system_models():
         MatchedLFFine(sw, grid, 0.01)
     with pytest.raises(ConfigError):
         MatchedLFCoarse(sw, grid, 0.01, 2, order=1)
-    with pytest.raises(ConfigError):
-        RediscretizedLF(sw, grid, 0.01)
 
 
 def test_matched_coarse_validation():
@@ -242,7 +246,7 @@ def _roll_difference(f, dx):
 def _roll_oracle(stepper, u):
     """The matched family written with np.roll, one operator per class."""
     flux, dx = stepper.model.flux, stepper.dx
-    if not isinstance(stepper, MatchedLFCoarse):
+    if isinstance(stepper, MatchedLFFine):
         return _roll_average(u) - stepper.dt * _roll_difference(flux(u), dx)
     m = stepper.m_effective
     if stepper.order == 0:
@@ -263,7 +267,7 @@ def _matched_stepper(kind, n_cells, dt, m):
     if kind == "fine":
         return MatchedLFFine(model, grid, dt)
     if kind == "rediscretized":
-        return RediscretizedLF(model, grid, dt * m)
+        return MatchedLFFine(model, grid, dt * m)
     return MatchedLFCoarse(model, grid, dt, m, order=int(kind[-1]))
 
 
@@ -359,42 +363,48 @@ def test_composed_stepper_rejects_zero_repeats():
 
 
 # ----------------------------------------------------------------------
-# construction by name
+# construction from a config (harness.build_steppers)
 # ----------------------------------------------------------------------
 
-def test_stepper_spec_orders():
-    assert StepperSpec("fe").order == 1
-    assert StepperSpec("ssprk2").order == 2
-    assert StepperSpec("ssprk3").order == 3
-    assert StepperSpec("matched-lf-0", m_effective=2).order == 0
-    assert StepperSpec("matched-lf-1", m_effective=2).order == 1
-    with pytest.raises(ConfigError):
-        StepperSpec("rk4")
-
-
-def test_make_stepper_runge_kutta_paths():
+def _built_levels(**keys):
+    """build_steppers for a 3-level, m = 2 Burgers config on 16 cells; the
+    steppers and the fine step size."""
+    config = ExperimentConfig(problem="burgers", ic="sin-stationary",
+                              horizon=0.4, n_x=16, n_t=16, n_levels=3, **keys)
     model, grid = _burgers_grid(16)
-    rhs = lambda v: -v
-    u = np.array([[0.5]])
-    built = make_stepper(StepperSpec("ssprk2"), model, grid, 0.2, rhs=rhs)
-    assert isinstance(built, RungeKuttaStepper)
-    assert np.array_equal(built.advance(u), step_ssprk2(rhs, u, 0.2))
-    with pytest.raises(ConfigError):
-        make_stepper(StepperSpec("ssprk3"), model, grid, 0.2)
+    time_grid = TemporalGrid(config.horizon, config.n_t)
+    return build_steppers(config, model, grid, time_grid), time_grid.dt
 
 
-def test_make_stepper_matched_paths():
+def test_build_steppers_runge_kutta_levels():
+    steppers, dt = _built_levels(stepper=("fe", "ssprk2", "ssprk3"),
+                                 weno_order=(1, 3, 5), flux="roe")
     model, grid = _burgers_grid(16)
-    dt_fine = 0.05 * grid.dx
-    fine = make_stepper(StepperSpec("matched-lf-fine"), model, grid, dt_fine)
-    assert isinstance(fine, MatchedLFFine)
-    assert fine.dt == dt_fine
-    coarse = make_stepper(StepperSpec("matched-lf-0", m_effective=4),
-                          model, grid, dt_fine)
-    assert isinstance(coarse, MatchedLFCoarse)
-    assert coarse.order == 0
-    assert coarse.dt == pytest.approx(4 * dt_fine)
-    redisc = make_stepper(StepperSpec("rediscretized-lf"), model, grid,
-                          4 * dt_fine)
-    assert isinstance(redisc, RediscretizedLF)
-    assert redisc.dt == pytest.approx(4 * dt_fine)
+    u = np.sin(2 * np.pi * grid.cell_centers())[None, :]
+    for l, stepper in enumerate(steppers):
+        assert isinstance(stepper, RungeKuttaStepper)
+        assert stepper.order == l + 1
+        assert stepper.dt == dt * 2 ** l
+        op = SemiDiscreteOperator(model, grid, FluxConfig(
+            kind="roe", weno=WenoConfig(order=2 * l + 1)))
+        assert np.array_equal(stepper.rhs(u), op.rhs(u))
+
+
+def test_build_steppers_matched_levels():
+    for coarse, order in (("matched-0", 0), ("matched-1", 1)):
+        (fine, *levels), dt = _built_levels(stepper=("matched-lf",),
+                                            coarse=coarse)
+        assert type(fine) is MatchedLFFine and fine.dt == dt
+        for l, op in enumerate(levels, start=1):
+            assert type(op) is MatchedLFCoarse
+            assert (op.order, op.m_effective, op.dt_fine) == (order, 2 ** l,
+                                                              dt)
+    (fine, *levels), dt = _built_levels(stepper=("matched-lf",),
+                                        coarse="rediscretize")
+    for l, op in enumerate(levels, start=1):
+        assert type(op) is MatchedLFFine and op.dt == dt * 2 ** l
+    (fine, *levels), dt = _built_levels(stepper=("matched-lf",),
+                                        coarse="exact")
+    for l, op in enumerate(levels, start=1):
+        assert isinstance(op, ComposedStepper)
+        assert op.inner is fine and op.repeats == 2 ** l
