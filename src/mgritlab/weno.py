@@ -17,13 +17,13 @@ LDL^T factorisation in the differences, a weighted sum of squares of
 Delta^(m+1) q_s + sum_{j>m} l_j Delta^(j+1) q_s (for k = 2 these are the
 Jiang-Shu indicators, JCP 126, 1996). The kernel takes the differences of
 the whole window once and evaluates these explicit sums for all k+1
-stencils together.
+stencils together, for both of the window's values at once.
 
 Reconstruction functions accept stacked windows with arbitrary leading batch
 axes; the window axis is last and holds cells (i-k, ..., i+k) in increasing
 order. The right-side value at an interface is the mirrored reconstruction:
-apply the left-value procedure to the index-reversed window of the cell on
-the right of the interface.
+the left-value procedure on the index-reversed window of the cell on the
+right of the interface. One pass over a window gives both of its values.
 """
 from __future__ import annotations
 
@@ -138,8 +138,10 @@ class WenoTables:
     closest doubles. The candidate and smoothness forms are the tables in
     the Newton basis (see the module docstring): per stencil r, the
     candidate's (e_1, ..., e_k) and ((D_m, (l_(m+1), ..., l_(k-1))), ...)
-    for its smoothness. The newton_* arrays lay them out for the kernel,
-    stencils along axis -2 and a trailing axis to broadcast over windows.
+    for its smoothness. The newton_* arrays lay them out for the kernel:
+    a side axis (0 for the left value, 1 for the mirrored right value,
+    signed as _pair_terms explains), stencils along axis -2 and a
+    trailing axis to broadcast over windows.
     """
 
     k: int
@@ -151,9 +153,10 @@ class WenoTables:
     coeffs: np.ndarray              # (k+1, k+1)
     weights: np.ndarray             # (k+1,)
     smoothness: np.ndarray          # (k+1, k+1, k+1)
-    newton_candidates: np.ndarray   # (k, k+1, 1): e_(j+1) of stencil r
-    newton_forms: np.ndarray        # (k, k, k+1, 1): l_j of form m, j > m
+    newton_candidates: np.ndarray   # (k, 2, k+1, 1): e_j of stencil r
+    newton_forms: np.ndarray        # (k, k, 2, k+1, 1): l_j of form m, j > m
     newton_weights: np.ndarray      # (k, k+1, 1): D_m of stencil r
+    stencil_rows: tuple             # per order j, (2, k+1) rows of Delta^j
 
     @property
     def order(self) -> int:
@@ -180,21 +183,34 @@ def build_tables(k: int) -> WenoTables:
                        for mat in exact_b])
     exact_cand = tuple(_newton_candidate(row) for row in exact_c)
     exact_forms = tuple(_newton_sum_of_squares(mat) for mat in exact_b)
-    cand = np.zeros((k, k + 1, 1))
-    forms = np.zeros((k, k, k + 1, 1))
+    cand = np.zeros((k, 2, k + 1, 1))
+    forms = np.zeros((k, k, 2, k + 1, 1))
     form_weights = np.zeros((k, k + 1, 1))
     for r in range(k + 1):
-        cand[:, r, 0] = [float(e) for e in exact_cand[r]]
+        cand[:, 0, r, 0] = [float(e) for e in exact_cand[r]]
         for m, (weight, tail) in enumerate(exact_forms[r]):
             form_weights[m, r, 0] = float(weight)
-            forms[m, m + 1:, r, 0] = [float(v) for v in tail]
+            forms[m, m + 1:, 0, r, 0] = [float(v) for v in tail]
+    # Delta^j of the reversed window is (-1)^j times Delta^j of the window
+    # (exactly: a - b == -(b - a)); candidate term j is added to Delta^0,
+    # and term j of smoothness form m to Delta^(m+1)
+    sign = (-1.0) ** np.arange(1, k + 1)
+    cand[:, 1] = cand[:, 0] * sign[:, None, None]
+    forms[:, :, 1] = forms[:, :, 0] * np.outer(sign, sign)[..., None, None]
+    # stencil r starts at slot k - r, and on the reversed window at the
+    # mirror of slot k - j + r of Delta^j
+    rows = tuple(np.array([np.arange(k, -1, -1),
+                           np.arange(k - j, 2 * k - j + 1)])
+                 for j in range(k + 1))
+    for table in (cand, forms, form_weights) + rows:
+        table.setflags(write=False)
     return WenoTables(k=k, exact_coeffs=exact_c, exact_weights=exact_d,
                       exact_smoothness=exact_b,
                       exact_candidate_forms=exact_cand,
                       exact_smoothness_forms=exact_forms, coeffs=coeffs,
                       weights=weights, smoothness=smooth,
                       newton_candidates=cand, newton_forms=forms,
-                      newton_weights=form_weights)
+                      newton_weights=form_weights, stencil_rows=rows)
 
 
 def _check_window(tables: WenoTables, window: np.ndarray) -> np.ndarray:
@@ -206,30 +222,42 @@ def _check_window(tables: WenoTables, window: np.ndarray) -> np.ndarray:
     return window
 
 
-def _candidates_and_smoothness(tables: WenoTables, window: np.ndarray):
-    """Candidate values and smoothness indicators of every stencil, each
-    (k+1, M) with row r for stencil r and M = window.size // window width.
+def _slot_major(tables: WenoTables, windows: np.ndarray) -> np.ndarray:
+    """(W, M) copy: row t holds slot t of each of the M windows."""
+    return np.ascontiguousarray(windows.reshape(-1, tables.window).T)
+
+
+def _pair_terms(tables: WenoTables, rows: np.ndarray):
+    """Candidate values and smoothness indicators of every stencil on both
+    sides, each (2, k+1, M): [0, r] for stencil r of the window (toward
+    its right interface), [1, r] for stencil r of the reversed window
+    (toward its left interface). rows is a (W, M) slot-major array.
+
+    The reversed window's Delta^j at its stencil r is (-1)^j Delta^j at
+    slot k - j + r of the window, exactly (a - b == -(b - a)), so side 1
+    reads the same differences and the side-1 tables carry the signs.
+    Every side-1 sum is then the reversed window's own sum or its exact
+    negation, and squares drop the sign: both sides are bitwise the
+    one-sided evaluation of their window.
     """
     # Elementwise arithmetic only: a window's result must not depend on the
     # batch around it (a BLAS product over the batch rounds differently with
     # its size and alignment, and CSVs are byte-identical across
     # parallelism degrees, which batch the states differently).
     k = tables.k
-    # slot-major copy: rows[t] holds slot t of every window
-    rows = np.ascontiguousarray(np.moveaxis(window, -1, 0))
-    rows = rows.reshape(tables.window, -1)
-    # differences[j][s] = Delta^j q at slot s; stencil r starts at s = k-r,
-    # so row r of at[j] is Delta^j q at the first cell of stencil r
-    differences = [rows]
-    for _ in range(k):
-        differences.append(differences[-1][1:] - differences[-1][:-1])
-    at = [d[k::-1] for d in differences]
-    candidates = at[0].copy()
+    # at[j][side, r] is Delta^j q at the first cell of stencil r of side
+    at = []
+    differences = rows
+    for j, stencil_rows in enumerate(tables.stencil_rows):
+        if j:
+            differences = differences[1:] - differences[:-1]
+        at.append(differences[stencil_rows])
+    candidates = at[0]
     for e, delta in zip(tables.newton_candidates, at[1:]):
         candidates += e * delta
     beta = np.zeros_like(candidates)
     for m in range(k):
-        square = at[m + 1].copy()
+        square = at[m + 1]  # forms after m read only at[m + 2:]
         for j in range(m + 1, k):
             square += tables.newton_forms[m, j] * at[j + 1]
         square *= square
@@ -239,73 +267,91 @@ def _candidates_and_smoothness(tables: WenoTables, window: np.ndarray):
 
 
 def _normalised_weights(tables: WenoTables, epsilon: float, beta):
-    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (k+1, M); overwrites beta."""
+    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, M); overwrites beta."""
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     beta += epsilon
     beta *= beta
     raw = np.divide(tables.weights[:, None], beta, out=beta)
-    total = raw[0].copy()
-    for row in raw[1:]:
-        total += row
-    raw /= total
+    total = raw[:, 0].copy()
+    for r in range(1, tables.k + 1):
+        total += raw[:, r]
+    raw /= total[:, None]
     return raw
 
 
-def _by_window(tables: WenoTables, window: np.ndarray, per_stencil):
-    """(k+1, M) stencil rows as (..., k+1), one row of k+1 per window."""
-    return per_stencil.T.reshape(window.shape[:-1] + (tables.k + 1,))
+def _left_side(tables: WenoTables, window: np.ndarray, per_stencil):
+    """Side-0 (2, k+1, M) stencil rows as (..., k+1), one row per window."""
+    return per_stencil[0].T.reshape(window.shape[:-1] + (tables.k + 1,))
 
 
 def smoothness_indicators(tables: WenoTables, window: np.ndarray) -> np.ndarray:
     """beta_r = q_r^T B_r q_r for every candidate stencil; (..., k+1)."""
     window = _check_window(tables, window)
-    _, beta = _candidates_and_smoothness(tables, window)
-    return _by_window(tables, window, beta)
+    _, beta = _pair_terms(tables, _slot_major(tables, window))
+    return _left_side(tables, window, beta)
 
 
 def nonlinear_weights(tables: WenoTables, epsilon: float,
                       window: np.ndarray) -> np.ndarray:
     """Normalised weights omega_r = (d_r/(eps+beta_r)^2) / sum; (..., k+1)."""
     window = _check_window(tables, window)
-    _, beta = _candidates_and_smoothness(tables, window)
-    return _by_window(tables, window,
+    _, beta = _pair_terms(tables, _slot_major(tables, window))
+    return _left_side(tables, window,
                       _normalised_weights(tables, epsilon, beta))
+
+
+# Windows per kernel block: the block's temporaries, a few dozen rows of
+# this many doubles, stay in a core's L2 cache at any batch size, and a
+# block costs a few dozen numpy calls, so smaller blocks pay more call
+# overhead (README, "Kernel forms", has the measured block-size curve).
+BLOCK_WINDOWS = 4096
+
+
+def reconstruct_pair(tables: WenoTables, epsilon: float,
+                     window: np.ndarray) -> np.ndarray:
+    """(2, ...) values of the windows centred on cells i: [0] just left of
+    x_{i+1/2}, [1] just right of x_{i-1/2} (the left value of the reversed
+    window)."""
+    window = _check_window(tables, window)
+    columns = window.reshape(-1, tables.window)
+    values = np.empty((2, len(columns)))
+    for start in range(0, len(columns), BLOCK_WINDOWS):
+        block = slice(start, start + BLOCK_WINDOWS)
+        candidates, beta = _pair_terms(tables,
+                                       _slot_major(tables, columns[block]))
+        omega = _normalised_weights(tables, epsilon, beta)
+        omega *= candidates
+        value = values[:, block]
+        value[...] = omega[:, 0]
+        for r in range(1, tables.k + 1):
+            value += omega[:, r]
+    return values.reshape((2,) + window.shape[:-1])
 
 
 def reconstruct_left(tables: WenoTables, epsilon: float,
                      window: np.ndarray) -> np.ndarray:
     """Value just left of x_{i+1/2} from the window centred on cell i."""
-    window = _check_window(tables, window)
-    candidates, beta = _candidates_and_smoothness(tables, window)
-    omega = _normalised_weights(tables, epsilon, beta)
-    omega *= candidates
-    value = omega[0].copy()
-    for row in omega[1:]:
-        value += row
-    return value.reshape(window.shape[:-1])
+    return reconstruct_pair(tables, epsilon, window)[0]
 
 
 def reconstruct_right(tables: WenoTables, epsilon: float,
                       window: np.ndarray) -> np.ndarray:
     """Value just right of x_{i-1/2} from the window centred on cell i.
 
-    Mirror image of reconstruct_left: the same procedure on the reversed
+    Mirror image of reconstruct_left: bitwise its value on the reversed
     window.
     """
-    window = _check_window(tables, window)
-    return reconstruct_left(tables, epsilon, window[..., ::-1])
+    return reconstruct_pair(tables, epsilon, window)[1]
 
 
 @lru_cache(maxsize=None)
-def _window_indices(n_cells: int, k: int):
-    """Periodic gather indices: rows are interfaces i+1/2, columns windows."""
+def _window_indices(n_cells: int, k: int) -> np.ndarray:
+    """Periodic gather index: row i holds the window of cell i."""
     cells = np.arange(n_cells)[:, None]
-    left = (cells + np.arange(-k, k + 1)[None, :]) % n_cells
-    right = (cells + 1 + np.arange(k, -k - 1, -1)[None, :]) % n_cells
-    left.setflags(write=False)
-    right.setflags(write=False)
-    return left, right
+    index = (cells + np.arange(-k, k + 1)[None, :]) % n_cells
+    index.setflags(write=False)
+    return index
 
 
 def _next_cell(values: np.ndarray) -> np.ndarray:
@@ -321,11 +367,14 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
     """Left and right states at every interface of a periodic field.
 
     field has shape (..., D, N); entry i of each returned array belongs to
-    interface i+1/2 (the right edge of cell i). With characteristic=True and
-    D > 1, windows are projected onto the characteristic fields of the
-    adjacent cell (cell i for the left value, cell i+1 for the right value),
-    reconstructed per field, and projected back. Degree 0 is the identity,
-    so it returns the field and its neighbour without any projection.
+    interface i+1/2 (the right edge of cell i). Each cell's window is
+    gathered once and gives both of the cell's values: the left value at
+    x_{i+1/2} and the right value at x_{i-1/2}, which one shift by a cell
+    puts at the interface it belongs to. With characteristic=True and
+    D > 1, the window is projected onto the characteristic fields of its
+    own cell, reconstructed per field, and projected back. Degree 0 is the
+    identity, so it returns the field and its neighbour without any
+    projection.
     """
     field = np.asarray(field, float)
     if field.ndim < 2:
@@ -336,24 +385,17 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
             f"{n_cells} cells cannot support a {tables.window}-cell window")
     if tables.k == 0:
         return field, _next_cell(field)
-    idx_left, idx_right = _window_indices(n_cells, tables.k)
+    index = _window_indices(n_cells, tables.k)
     if characteristic and field.shape[-2] > 1:
         _, right_vec, left_vec = model.eigen_cells(field)  # (..., N, D, D)
         # cell-major windows (..., N, D, W), projected per cell to
-        # characteristic windows (..., N, C, W); the reversed window of cell
-        # j gives its value at x_{j-1/2}, in cell j's own characteristic
-        # fields, so one shift by a cell makes entry i the right-side value
-        # at x_{i+1/2}
+        # characteristic windows (..., N, C, W); the projection commutes
+        # with reversing a window, so cell j's value at x_{j-1/2} is in its
+        # own characteristic fields too
         component = np.arange(field.shape[-2])[:, None]
-        char_left = left_vec @ field[..., component, idx_left[:, None, :]]
-        char_right = left_vec @ field[..., component,
-                                      idx_left[:, None, ::-1]]
-        rec_left = reconstruct_left(tables, epsilon, char_left)
-        rec_right = reconstruct_left(tables, epsilon, char_right)
-        state_left = (right_vec @ rec_left[..., None])[..., 0]
-        state_right = (right_vec @ rec_right[..., None])[..., 0]
-        return (np.swapaxes(state_left, -1, -2),
-                _next_cell(np.swapaxes(state_right, -1, -2)))
-    state_left = reconstruct_left(tables, epsilon, field[..., idx_left])
-    state_right = reconstruct_left(tables, epsilon, field[..., idx_right])
-    return state_left, state_right
+        windows = left_vec @ field[..., component, index[:, None, :]]
+        values = reconstruct_pair(tables, epsilon, windows)
+        states = np.swapaxes((right_vec @ values[..., None])[..., 0], -1, -2)
+        return states[0], _next_cell(states[1])
+    values = reconstruct_pair(tables, epsilon, field[..., index])
+    return values[0], _next_cell(values[1])

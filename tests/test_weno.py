@@ -27,7 +27,7 @@ from mgritlab import (
     reconstruct_right,
     smoothness_indicators,
 )
-from mgritlab.weno import _candidates_and_smoothness
+from mgritlab.weno import BLOCK_WINDOWS, _pair_terms, _window_indices
 
 EPS = 1e-6
 
@@ -180,13 +180,18 @@ def test_table_invariants(k):
                   for b in range(k + 1))
             for a in range(k + 1))
         assert rebuilt == tables.exact_smoothness[r]
-        # the float layout the kernel reads
-        for j, e in enumerate(cand):
-            assert tables.newton_candidates[j, r, 0] == float(e)
+        # the float layout the kernel reads; side 1 carries the sign of the
+        # reversed window's differences relative to the term they add to
+        for j, e in enumerate(cand, start=1):
+            assert tables.newton_candidates[j - 1, 0, r, 0] == float(e)
+            assert tables.newton_candidates[j - 1, 1, r, 0] == \
+                (-1) ** j * float(e)
         for m, (w, tail) in enumerate(tables.exact_smoothness_forms[r]):
             assert w > 0 and tables.newton_weights[m, r, 0] == float(w)
             expected = [0.0] * (m + 1) + [float(v) for v in tail]
-            assert list(tables.newton_forms[m, :, r, 0]) == expected
+            assert list(tables.newton_forms[m, :, 0, r, 0]) == expected
+            assert list(tables.newton_forms[m, :, 1, r, 0]) == \
+                [(-1) ** (j - m) * v for j, v in enumerate(expected)]
 
 
 def _stencil_form(lead, newton):
@@ -283,27 +288,29 @@ def test_explicit_kernel_matches_exact_rational_tables(case):
     # exact rational evaluation of c_r . q_r and q_r^T B_r q_r at the same
     # float data; the bound is relative to the sum of the terms' magnitudes,
     # plus 1e-300 for subnormal values and squares that underflow
+    # side 0 on the window and side 1 on the reversed window
     k, rows = case
     tables = build_tables(k)
     windows = np.array(rows)
-    candidates, betas = _candidates_and_smoothness(tables, windows)
-    assert np.array_equal(betas.T, smoothness_indicators(tables, windows))
+    candidates, betas = _pair_terms(tables, np.ascontiguousarray(windows.T))
+    assert np.array_equal(betas[0].T, smoothness_indicators(tables, windows))
     for b, row in enumerate(rows):
-        q = [Fraction(v) for v in row]
-        for r in range(k + 1):
-            stencil = q[k - r:2 * k - r + 1]
-            coeffs = tables.exact_coeffs[r]
-            exact = sum(c * v for c, v in zip(coeffs, stencil))
-            size = sum(abs(c * v) for c, v in zip(coeffs, stencil))
-            error = abs(Fraction(candidates[r][b]) - exact)
-            assert error <= 1e-13 * size + 1e-300
-            mat = tables.exact_smoothness[r]
-            exact = sum(mat[i][j] * stencil[i] * stencil[j]
-                        for i in range(k + 1) for j in range(k + 1))
-            size = sum(abs(mat[i][j] * stencil[i] * stencil[j])
-                       for i in range(k + 1) for j in range(k + 1))
-            error = abs(Fraction(betas[r][b]) - exact)
-            assert error <= 1e-13 * size + 1e-300
+        for side, ordered in enumerate((row, row[::-1])):
+            q = [Fraction(v) for v in ordered]
+            for r in range(k + 1):
+                stencil = q[k - r:2 * k - r + 1]
+                coeffs = tables.exact_coeffs[r]
+                exact = sum(c * v for c, v in zip(coeffs, stencil))
+                size = sum(abs(c * v) for c, v in zip(coeffs, stencil))
+                error = abs(Fraction(candidates[side, r, b]) - exact)
+                assert error <= 1e-13 * size + 1e-300
+                mat = tables.exact_smoothness[r]
+                exact = sum(mat[i][j] * stencil[i] * stencil[j]
+                            for i in range(k + 1) for j in range(k + 1))
+                size = sum(abs(mat[i][j] * stencil[i] * stencil[j])
+                           for i in range(k + 1) for j in range(k + 1))
+                error = abs(Fraction(betas[side, r, b]) - exact)
+                assert error <= 1e-13 * size + 1e-300
 
 
 def _einsum_reconstruct_left(tables, epsilon, window):
@@ -596,3 +603,155 @@ def test_interface_states_dimension_errors():
         reconstruct_interface_states(model, np.zeros(8), tables, EPS)
     with pytest.raises(DimensionError):
         reconstruct_interface_states(model, np.zeros((1, 3)), tables, EPS)
+
+
+# ----------------------------------------------------------------------
+# the paired kernel against one-sided references
+# ----------------------------------------------------------------------
+
+def _one_side_reconstruct_left(tables, epsilon, window):
+    """Reference one-sided evaluation: the value at the right interface of
+    each window from that window's own differences, with tables rebuilt
+    from the exact forms."""
+    k = tables.k
+    cand = [[float(e) for e in form] for form in tables.exact_candidate_forms]
+    rows = np.ascontiguousarray(np.moveaxis(window, -1, 0))
+    rows = rows.reshape(tables.window, -1)
+    differences = [rows]
+    for _ in range(k):
+        differences.append(differences[-1][1:] - differences[-1][:-1])
+    at = [d[k::-1] for d in differences]
+    candidates = at[0].copy()
+    for j in range(1, k + 1):
+        candidates += np.array([[c[j - 1]] for c in cand]) * at[j]
+    beta = np.zeros_like(candidates)
+    for m in range(k):
+        square = at[m + 1].copy()
+        for j in range(m + 1, k):
+            tail = [[float(forms[m][1][j - m - 1])]
+                    for forms in tables.exact_smoothness_forms]
+            square += np.array(tail) * at[j + 1]
+        square *= square
+        square *= np.array([[float(forms[m][0])]
+                            for forms in tables.exact_smoothness_forms])
+        beta += square
+    beta += epsilon
+    beta *= beta
+    raw = tables.weights[:, None] / beta
+    total = raw[0].copy()
+    for row in raw[1:]:
+        total += row
+    raw /= total
+    raw *= candidates
+    value = raw[0].copy()
+    for row in raw[1:]:
+        value += row
+    return value.reshape(window.shape[:-1])
+
+
+def _two_gather_interface_states(model, field, tables, epsilon,
+                                 characteristic):
+    """Reference interface states: the right side's windows gathered (and
+    projected) reversed, separately from the left side's, and each side
+    reconstructed one-sided."""
+    n, k = field.shape[-1], tables.k
+    cells = np.arange(n)[:, None]
+    left_idx = (cells + np.arange(-k, k + 1)[None, :]) % n
+    right_idx = (cells + 1 + np.arange(k, -k - 1, -1)[None, :]) % n
+    if characteristic and field.shape[-2] > 1:
+        _, right_vec, left_vec = model.eigen_cells(field)
+        component = np.arange(field.shape[-2])[:, None]
+        char_left = left_vec @ field[..., component, left_idx[:, None, :]]
+        char_right = left_vec @ field[..., component,
+                                      left_idx[:, None, ::-1]]
+        states = [
+            (right_vec @ _one_side_reconstruct_left(
+                tables, epsilon, char)[..., None])[..., 0]
+            for char in (char_left, char_right)]
+        return (np.swapaxes(states[0], -1, -2),
+                np.roll(np.swapaxes(states[1], -1, -2), -1, axis=-1))
+    return (_one_side_reconstruct_left(tables, epsilon, field[..., left_idx]),
+            _one_side_reconstruct_left(tables, epsilon, field[..., right_idx]))
+
+
+def _smooth_field(model, kind, batch, n, rng):
+    x = (np.arange(n) + 0.5) / n
+    phase = rng.uniform(size=batch + (1,))
+    h = 1.5 + 0.4 * np.sin(2 * np.pi * (x + phase))
+    vel = 0.3 * np.cos(2 * np.pi * (x + 2 * phase))
+    if kind == "burgers":
+        return np.stack([vel + 0.1 * rng.standard_normal(batch + (n,))],
+                        axis=-2)
+    components = [h, h * vel]
+    if kind == "euler":
+        p = 1.2 + 0.3 * np.sin(2 * np.pi * (x - phase))
+        components.append(p / (model.gamma - 1) + 0.5 * h * vel ** 2)
+    return np.stack(components, axis=-2)
+
+
+@pytest.mark.parametrize("kind,batch", [("euler", ()), ("euler", (100,)),
+                                        ("shallow-water", ())])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_projection_commutes_with_window_reversal(kind, batch, k):
+    # the right value's characteristic window is the projected window read
+    # backwards; this holds bitwise only if the stacked BLAS product treats
+    # every column alike, whatever its position
+    model = make_model(kind)
+    field = _smooth_field(model, kind, batch, 64, np.random.default_rng(3))
+    _, _, left_vec = model.eigen_cells(field)
+    assert left_vec.shape == batch + (64,) + (field.shape[-2],) * 2
+    component = np.arange(field.shape[-2])[:, None]
+    windows = field[..., component, _window_indices(64, k)[:, None, :]]
+    projected = left_vec @ windows
+    assert np.array_equal(left_vec @ windows[..., ::-1],
+                          projected[..., ::-1])
+    assert np.array_equal(
+        left_vec @ np.ascontiguousarray(windows[..., ::-1]),
+        projected[..., ::-1])
+
+
+_COUNTS = (1, BLOCK_WINDOWS - 1, BLOCK_WINDOWS, BLOCK_WINDOWS + 1,
+           2 * BLOCK_WINDOWS + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 3), count=st.sampled_from(_COUNTS),
+       strided=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       epsilon=st.sampled_from([1e-6, 1e-2]))
+def test_paired_kernel_bitwise_equals_one_side_evaluation(k, count, strided,
+                                                           seed, epsilon):
+    # values over six decades, each window at its own scale; strided input
+    # is overlapping windows of one line, as a periodic gather reads them
+    tables = build_tables(k)
+    rng = np.random.default_rng(seed)
+    width = tables.window
+    if strided:
+        line = rng.standard_normal(count + width - 1)
+        line *= 10.0 ** rng.uniform(-3, 3, size=line.shape)
+        windows = np.lib.stride_tricks.sliding_window_view(line, width)
+    else:
+        windows = rng.standard_normal((count, width))
+        windows *= 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+    left = reconstruct_left(tables, epsilon, windows)
+    right = reconstruct_right(tables, epsilon, windows)
+    assert np.array_equal(
+        left, _one_side_reconstruct_left(tables, epsilon, windows))
+    assert np.array_equal(
+        right, _one_side_reconstruct_left(tables, epsilon, windows[:, ::-1]))
+
+
+@pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])
+@pytest.mark.parametrize("characteristic", [True, False])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 5), (200,)])
+def test_interface_states_bitwise_equal_two_gather_form(kind, characteristic,
+                                                        batch):
+    model = make_model(kind)
+    field = _smooth_field(model, kind, batch, 24, np.random.default_rng(29))
+    for k in (1, 2, 3):
+        tables = build_tables(k)
+        left, right = reconstruct_interface_states(
+            model, field, tables, EPS, characteristic=characteristic)
+        expected = _two_gather_interface_states(model, field, tables, EPS,
+                                                characteristic)
+        assert np.array_equal(left, expected[0])
+        assert np.array_equal(right, expected[1])
