@@ -24,11 +24,9 @@ from .models import (Burgers, ConservationModel, Euler, ShallowWater,
                      make_model)
 from .serial import SerialRun, discretise_ic, solve_serial
 from .stepper import (ComposedStepper, MatchedLFCoarse, MatchedLFFine,
-                      RungeKuttaStepper, central_difference, neighbor_average,
-                      step_fe, step_ssprk2, step_ssprk3)
+                      RungeKuttaStepper, step_fe, step_ssprk2, step_ssprk3)
 from .weno import (WenoTables, build_tables, nonlinear_weights,
-                   reconstruct_interface_states, reconstruct_left,
-                   reconstruct_right, smoothness_indicators)
+                   reconstruct_interface_states, reconstruct_left)
 
 __version__ = "0.1.0"
 

@@ -56,13 +56,6 @@ class TemporalGrid:
     def n_nodes(self) -> int:
         return self.n_steps + 1
 
-    def coarsened(self, m: int) -> "TemporalGrid":
-        """The grid with every m-th node kept; n_steps must divide evenly."""
-        if self.n_steps % m != 0:
-            raise ConfigError(
-                f"{self.n_steps} time steps cannot be coarsened by factor {m}")
-        return TemporalGrid(self.horizon, self.n_steps // m)
-
 
 @dataclass
 class Trajectory:
@@ -83,9 +76,13 @@ class Trajectory:
             raise DimensionError(
                 f"{v.shape[2]} cells per state on a {self.space_grid.n_cells}-cell mesh")
 
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[1]
+
+def l2_norm(values: np.ndarray) -> float:
+    """Euclidean norm of all entries, summed in an order fixed by the array
+    alone: a BLAS dot product (np.linalg.norm) splits the sum by its thread
+    count, which would make the CSV bytes depend on OPENBLAS_NUM_THREADS."""
+    flat = np.ravel(values)
+    return float(np.sqrt(np.einsum("i,i->", flat, flat)))
 
 
 def rel_l2_spacetime_error(candidate: np.ndarray, reference: np.ndarray) -> float:
@@ -97,8 +94,8 @@ def rel_l2_spacetime_error(candidate: np.ndarray, reference: np.ndarray) -> floa
     if candidate.shape != reference.shape:
         raise DimensionError(
             f"shape mismatch {candidate.shape} vs {reference.shape}")
-    ref_norm = float(np.linalg.norm(reference))
+    ref_norm = l2_norm(reference)
     if ref_norm == 0.0:
         raise ValueError("reference trajectory has zero norm")
-    return float(np.linalg.norm(candidate - reference)) / ref_norm
+    return l2_norm(candidate - reference) / ref_norm
 

@@ -53,7 +53,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, PhysicalStateError
-from .grid import SpatialGrid, TemporalGrid, Trajectory, rel_l2_spacetime_error
+from .grid import (SpatialGrid, TemporalGrid, Trajectory, l2_norm,
+                   rel_l2_spacetime_error)
 
 CYCLE_KINDS = ("v", "f")
 RELAXATION_KINDS = ("f", "fcf")
@@ -327,8 +328,7 @@ class MgritHierarchy:
         if not self._f_current[0]:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 predicted = level.stepper.advance(level.u[:-1])
-                residual = level.g[1:] + predicted - level.u[1:]
-                return float(np.linalg.norm(residual))
+                return l2_norm(level.g[1:] + predicted - level.u[1:])
         mi = self._c_points(0)
         phi0 = np.empty((len(mi),) + level.u.shape[1:])
 
@@ -341,7 +341,7 @@ class MgritHierarchy:
         residual = np.zeros_like(level.u[1:])
         with np.errstate(over="ignore", invalid="ignore"):
             residual[mi - 1] = level.g[mi] + phi0 - level.u[mi]
-            return float(np.linalg.norm(residual))
+            return l2_norm(residual)
 
     def fine_values(self) -> np.ndarray:
         return self.levels[0].u

@@ -1,41 +1,50 @@
-"""Fast built-in verification suite behind `mgritlab verify`.
+"""The checks behind `mgritlab verify`; the test suite runs the same ones.
 
 Each check re-derives an expected value from an independent construction
 (closed forms, telescoping identities, exact solves) and compares the
-package against it. The full oracle suite, including the symbolic table
-derivation, lives in the test suite; this module is a quick field check
-that needs nothing beyond the package's own dependencies.
+package against it, returning (ok, detail). The MGRIT and determinism
+checks make their objects as a run does (harness._setup, run_experiment,
+run_sweep). The test suite runs every entry of CHECKS as a test of its own
+name, so each check is written once, here; the symbolic derivation of the
+tables stays in the test suite.
 """
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .flux import FluxConfig, SemiDiscreteOperator, WenoConfig, lf_flux, roe_flux
-from .grid import SpatialGrid, TemporalGrid, rel_l2_spacetime_error
-from .harness import emit_csv, parse_config, run_sweep
-from .mgrit import MgritOptions, mgrit_solve
-from .models import Burgers, ShallowWater, make_model
+from .grid import SpatialGrid, rel_l2_spacetime_error
+from .harness import (ExperimentConfig, _setup, emit_csv, run_experiment,
+                      run_sweep)
+from .mgrit import MgritHierarchy
+from .models import Burgers, make_model
 from .serial import solve_serial
-from .stepper import (ComposedStepper, MatchedLFFine, RungeKuttaStepper,
-                      step_fe, step_ssprk2, step_ssprk3)
+from .stepper import (MatchedLFFine, RungeKuttaStepper, step_fe, step_ssprk2,
+                      step_ssprk3)
 from .weno import build_tables, nonlinear_weights, reconstruct_left
+
+
+def _sixths(rows):
+    return tuple(tuple(Fraction(v, 6) for v in row) for row in rows)
 
 
 def _check_weno_tables():
     tables = build_tables(2)
-    frozen_c = np.array([[2, 5, -1], [-1, 5, 2], [2, -7, 11]]) / 6.0
-    frozen_d = np.array([3, 6, 1]) / 10.0
-    frozen_b = np.array([
-        [[20, -31, 11], [-31, 50, -19], [11, -19, 8]],
-        [[8, -13, 5], [-13, 26, -13], [5, -13, 8]],
-        [[8, -19, 11], [-19, 50, -31], [11, -31, 20]],
-    ]) / 6.0
-    ok = (np.array_equal(tables.coeffs, frozen_c)
-          and np.array_equal(tables.weights, frozen_d)
-          and np.array_equal(tables.smoothness, frozen_b))
+    ok = (tables.exact_coeffs == _sixths([[2, 5, -1], [-1, 5, 2],
+                                          [2, -7, 11]])
+          and tables.exact_weights == (Fraction(3, 10), Fraction(6, 10),
+                                       Fraction(1, 10))
+          and tables.exact_smoothness == (
+              _sixths([[20, -31, 11], [-31, 50, -19], [11, -19, 8]]),
+              _sixths([[8, -13, 5], [-13, 26, -13], [5, -13, 8]]),
+              _sixths([[8, -19, 11], [-19, 50, -31], [11, -31, 20]]))
+          and list(tables.weights) == [0.3, 0.6, 0.1])
     return ok, "k=2 tables equal the frozen rational values"
 
 
@@ -68,81 +77,75 @@ def _check_weights_convex():
 
 
 def _check_amplification():
-    lam = -0.731
-    rhs = lambda u: lam * u
+    # on u' = lam u one step multiplies by the stepper's Taylor polynomial
+    # of exp(z), z = lam dt
     worst = 0.0
-    for dt in (0.23, 0.057):
+    one = np.ones(1)
+    for lam, dt in ((-1.0, 1.0), (-0.5, 1.0), (0.25, 1.0), (1.0, 1.0),
+                    (-0.731, 0.23), (-0.731, 0.057)):
         z = lam * dt
-        u0 = np.array([[1.0]])
-        worst = max(worst, abs(step_fe(rhs, u0, dt)[0, 0] - (1 + z)))
-        worst = max(worst, abs(step_ssprk2(rhs, u0, dt)[0, 0]
-                               - (1 + z + z * z / 2)))
-        worst = max(worst, abs(step_ssprk3(rhs, u0, dt)[0, 0]
-                               - (1 + z + z * z / 2 + z ** 3 / 6)))
+        for step, factor in ((step_fe, 1 + z),
+                             (step_ssprk2, 1 + z + z * z / 2),
+                             (step_ssprk3, 1 + z + z * z / 2 + z ** 3 / 6)):
+            worst = max(worst, abs(step(lambda u: lam * u, one, dt)[0]
+                                   - factor))
     return worst < 1e-14, f"linear amplification, worst err {worst:.2e}"
 
 
-def _random_state(model, rng, n):
-    if isinstance(model, Burgers):
-        return rng.uniform(-2.0, 2.0, size=(1, n))
-    if isinstance(model, ShallowWater):
-        h = rng.uniform(0.5, 3.0, size=n)
-        return np.stack([h, h * rng.uniform(-1.0, 1.0, size=n)])
-    rho = rng.uniform(0.5, 3.0, size=n)
-    vel = rng.uniform(-1.0, 1.0, size=n)
-    p = rng.uniform(0.5, 3.0, size=n)
-    energy = p / (model.gamma - 1.0) + 0.5 * rho * vel * vel
-    return np.stack([rho, rho * vel, energy])
-
-
-def _smooth_state(model, rng, x):
-    """Random smooth admissible field; overshoot-safe for reconstruction."""
-    def wave(base, amp):
-        return base + amp * np.sin(2.0 * np.pi * x + rng.uniform(0, 2 * np.pi))
-
-    if isinstance(model, Burgers):
-        return wave(rng.uniform(-0.5, 0.5), 0.8)[None, :]
-    if isinstance(model, ShallowWater):
-        h = wave(1.5, 0.4)
-        return np.stack([h, h * wave(0.0, 0.4)])
-    rho = wave(1.5, 0.4)
-    vel = wave(0.0, 0.4)
-    p = wave(1.5, 0.4)
-    energy = p / (model.gamma - 1.0) + 0.5 * rho * vel * vel
-    return np.stack([rho, rho * vel, energy])
+def _admissible_state(model, draw):
+    """A state whose primitives draw(lo, hi) gives: depth or density and
+    pressure in [0.3, 3], velocity (the Burgers field) in [-1.5, 1.5]."""
+    velocity = draw(-1.5, 1.5)
+    if model.kind == "burgers":
+        return velocity[None, :]
+    density = draw(0.3, 3.0)
+    if model.kind == "shallow-water":
+        return np.stack([density, density * velocity])
+    energy = (draw(0.3, 3.0) / (model.gamma - 1.0)
+              + 0.5 * density * velocity * velocity)
+    return np.stack([density, density * velocity, energy])
 
 
 def _check_conservation():
     rng = np.random.default_rng(23)
+    grid = SpatialGrid(1.0, 48)
+
+    def smooth(lo, hi):  # overshoot-safe for reconstruction
+        phase = rng.uniform(0, 2 * np.pi)
+        return (lo + hi) / 2 + (hi - lo) / 2 * np.sin(
+            2 * np.pi * grid.cell_centers() + phase)
+
     worst = 0.0
-    for kind in ("burgers", "shallow-water", "euler"):
+    for kind, flux_kind in itertools.product(
+            ("burgers", "shallow-water", "euler"), ("lf", "roe")):
         model = make_model(kind)
-        grid = SpatialGrid(1.0, 48)
-        for flux_kind in ("lf", "roe"):
-            op = SemiDiscreteOperator(model, grid, FluxConfig(
-                kind=flux_kind, weno=WenoConfig(order=5)))
-            state = _smooth_state(model, rng, grid.cell_centers())
-            stepped = RungeKuttaStepper(op.rhs, 1e-4, 3).advance(state)
-            drift = np.abs(np.sum(stepped, axis=-1) - np.sum(state, axis=-1))
-            scale = np.maximum(np.abs(np.sum(state, axis=-1)), 1.0)
-            worst = max(worst, float(np.max(drift / scale)))
+        op = SemiDiscreteOperator(model, grid, FluxConfig(
+            kind=flux_kind, weno=WenoConfig(order=5)))
+        state = _admissible_state(model, smooth)
+        stepped = RungeKuttaStepper(op.rhs, 1e-4, 3).advance(state)
+        drift = np.abs(np.sum(stepped, axis=-1) - np.sum(state, axis=-1))
+        scale = np.maximum(np.abs(np.sum(state, axis=-1)), 1.0)
+        worst = max(worst, float(np.max(drift / scale)))
     return worst < 1e-12, f"cell sums preserved, worst drift {worst:.2e}"
 
 
 def _check_roe_linearisation():
+    # sum_k lam_k a_k r_k over the Roe waves is exactly f(uR) - f(uL)
     rng = np.random.default_rng(5)
+
+    def draw(lo, hi):
+        return rng.uniform(lo, hi, 1000)
+
     worst = 0.0
     for kind in ("shallow-water", "euler"):
         model = make_model(kind)
-        ul = _random_state(model, rng, 200)
-        ur = _random_state(model, rng, 200)
+        ul, ur = _admissible_state(model, draw), _admissible_state(model, draw)
         lam, right, left = model.roe_eigen(ul, ur)
-        strength = np.einsum("nkd,dn->nk", left, ur - ul)
-        assembled = np.einsum("nk,ndk->dn", lam * strength, right)
+        strength = (left @ (ur - ul).T[..., None])[..., 0]
+        assembled = (right @ (lam * strength)[..., None])[..., 0].T
         jump = model.flux(ur) - model.flux(ul)
-        scale = np.maximum(np.max(np.abs(jump)), 1.0)
-        worst = max(worst, float(np.max(np.abs(assembled - jump)) / scale))
-    return worst < 1e-8, f"flux differences linearised, worst {worst:.2e}"
+        worst = max(worst, float(np.max(np.abs(assembled - jump))))
+    return worst < 1e-10, f"flux differences linearised, worst {worst:.2e}"
 
 
 def _check_roe_upwind():
@@ -174,79 +177,40 @@ def _check_matched_fine():
     return err < 1e-12, f"matched fine vs FE+LF, max err {err:.2e}"
 
 
+def _burgers_config(**keys):
+    fields = dict(problem="burgers", ic="sin-moving", horizon=0.2, n_x=32,
+                  n_t=64, n_levels=3, stepper=("ssprk3",), weno_order=(3,))
+    return ExperimentConfig(**{**fields, **keys})
+
+
 def _check_fixed_point():
-    config_text = """
-problem = burgers
-ic = sin-moving
-horizon = 0.2
-n_x = 32
-n_t = 64
-n_levels = 3
-stepper = ssprk3
-weno_order = 3
-flux = lf
-max_iters = 1
-"""
-    config = parse_config(config_text)
+    setup = _setup(_burgers_config())
+    serial = solve_serial(setup.steppers[0], setup.state0, setup.time_grid,
+                          setup.space_grid).trajectory.values
     worst = 0.0
-    from . import harness
-    model = make_model(config.problem)
-    sgrid = SpatialGrid(config.length, config.n_x)
-    tgrid = TemporalGrid(config.horizon, config.n_t)
-    state0 = harness.initial_state(config.ic, sgrid, config.length)
-    steppers = harness.build_steppers(config, model, sgrid, tgrid)
-    serial = solve_serial(steppers[0], state0, tgrid, sgrid, model)
-    for cycle in ("v", "f"):
-        for relaxation in ("f", "fcf"):
-            for guess in ("injection", "last-step"):
-                options = MgritOptions(n_levels=3, cycle=cycle,
-                                       relaxation=relaxation, guess=guess,
-                                       max_iters=1)
-                from .mgrit import MgritHierarchy
-                h = MgritHierarchy(steppers, state0, tgrid, sgrid, options)
-                h.levels[0].u[:] = serial.trajectory.values
-                h.run_cycle()
-                err = rel_l2_spacetime_error(h.fine_values(),
-                                             serial.trajectory.values)
-                worst = max(worst, err)
+    for cycle, relaxation, guess in itertools.product(
+            ("v", "f"), ("f", "fcf"), ("injection", "last-step")):
+        options = dataclasses.replace(setup.options, cycle=cycle,
+                                      relaxation=relaxation, guess=guess)
+        h = MgritHierarchy(setup.steppers, setup.state0, setup.time_grid,
+                           setup.space_grid, options)
+        h.levels[0].u[:] = serial
+        h.run_cycle()
+        worst = max(worst, rel_l2_spacetime_error(h.fine_values(), serial))
     return worst < 1e-12, f"exact solutions stay fixed, worst {worst:.2e}"
 
 
 def _check_two_level_exactness():
-    model = Burgers()
-    sgrid = SpatialGrid(1.0, 64)
-    tgrid = TemporalGrid(0.2, 128)
-    from .harness import initial_state
-    state0 = initial_state("sin-moving", sgrid, 1.0)
-    worst = 0.0
-    for m in (2, 4):
-        op = SemiDiscreteOperator(model, sgrid, FluxConfig(
-            kind="lf", weno=WenoConfig(order=3)))
-        fine = RungeKuttaStepper(op.rhs, tgrid.dt, 3)
-        serial = solve_serial(fine, state0, tgrid, sgrid, model)
-        options = MgritOptions(n_levels=2, m=m, max_iters=1)
-        _, record = mgrit_solve([fine, ComposedStepper(fine, m)], state0,
-                                tgrid, sgrid, options,
-                                reference=serial.trajectory.values)
-        worst = max(worst, record.errors[1])
+    worst = max(run_experiment(_burgers_config(
+        n_x=64, n_t=128, n_levels=2, m=m, coarse="exact",
+        max_iters=1)).record.errors[1] for m in (2, 4))
     return worst < 1e-10, f"two-level exact coarse, worst {worst:.2e}"
 
 
 def _check_determinism():
-    config = parse_config("""
-problem = burgers
-ic = sin-moving
-horizon = 0.25
-n_x = 32
-n_t = 64
-n_levels = 3
-stepper = ssprk2
-weno_order = 3
-flux = roe
-max_iters = 4
-sweep = weno_order
-sweep_values = 1, 3
-""")
+    config = _burgers_config(horizon=0.25, stepper=("ssprk2",), flux="roe",
+                             max_iters=4, sweep="weno_order",
+                             sweep_values=("1", "3"))
     payloads = []
     with tempfile.TemporaryDirectory() as tmp:
         for parallelism in (1, 4):

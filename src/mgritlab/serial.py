@@ -17,7 +17,6 @@ class SerialRun:
 
     trajectory: Trajectory
     max_speed: float      # largest |eigenvalue| seen over the whole run
-    max_cfl: float        # max_speed * dt / dx at the run's own step size
     wall_seconds: float
 
 
@@ -56,6 +55,5 @@ def solve_serial(stepper, initial_state: np.ndarray, time_grid: TemporalGrid,
             max_speed = max(max_speed, float(np.max(model.max_abs_speed(state))))
     wall = time.perf_counter() - start
     trajectory = Trajectory(time_grid, space_grid, values)
-    cfl = max_speed * time_grid.dt / space_grid.dx
-    return SerialRun(trajectory=trajectory, max_speed=max_speed, max_cfl=cfl,
+    return SerialRun(trajectory=trajectory, max_speed=max_speed,
                      wall_seconds=wall)

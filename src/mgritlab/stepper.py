@@ -119,16 +119,6 @@ def _difference(f: np.ndarray, dx: float) -> np.ndarray:
     return (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
 
 
-def neighbor_average(u: np.ndarray) -> np.ndarray:
-    """E(u)_i = (u_{i+1} + u_{i-1}) / 2 on the periodic last axis."""
-    return _average(_periodic_pad(u, 1))
-
-
-def central_difference(f: np.ndarray, dx: float) -> np.ndarray:
-    """D(f)_i = (f_{i+1} - f_{i-1}) / (2 dx) on the periodic last axis."""
-    return _difference(_periodic_pad(f, 1), dx)
-
-
 def lf_expansion(model: ConservationModel, u: np.ndarray, dx: float,
                  step: float, m: int, order: int) -> np.ndarray:
     """E^m u - step D f(u) (order 0) or

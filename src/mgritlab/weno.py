@@ -134,14 +134,14 @@ def _newton_sum_of_squares(b):
 class WenoTables:
     """Reconstruction tables for one polynomial degree.
 
-    exact_* fields hold the rational values; the float arrays are their
-    closest doubles. The candidate and smoothness forms are the tables in
-    the Newton basis (see the module docstring): per stencil r, the
-    candidate's (e_1, ..., e_k) and ((D_m, (l_(m+1), ..., l_(k-1))), ...)
-    for its smoothness. The newton_* arrays lay them out for the kernel:
-    a side axis (0 for the left value, 1 for the mirrored right value,
-    signed as _pair_terms explains), stencils along axis -2 and a
-    trailing axis to broadcast over windows.
+    exact_* fields hold the rational values, and weights the closest
+    doubles of the optimal weights. The candidate and smoothness forms are
+    the tables in the Newton basis (see the module docstring): per stencil
+    r, the candidate's (e_1, ..., e_k) and
+    ((D_m, (l_(m+1), ..., l_(k-1))), ...) for its smoothness. The newton_*
+    arrays lay them out for the kernel: a side axis (0 for the left value,
+    1 for the mirrored right value, signed as _pair_terms explains),
+    stencils along axis -2 and a trailing axis to broadcast over windows.
     """
 
     k: int
@@ -150,17 +150,11 @@ class WenoTables:
     exact_smoothness: tuple
     exact_candidate_forms: tuple
     exact_smoothness_forms: tuple
-    coeffs: np.ndarray              # (k+1, k+1)
     weights: np.ndarray             # (k+1,)
-    smoothness: np.ndarray          # (k+1, k+1, k+1)
     newton_candidates: np.ndarray   # (k, 2, k+1, 1): e_j of stencil r
     newton_forms: np.ndarray        # (k, k, 2, k+1, 1): l_j of form m, j > m
     newton_weights: np.ndarray      # (k, k+1, 1): D_m of stencil r
     stencil_rows: tuple             # per order j, (2, k+1) rows of Delta^j
-
-    @property
-    def order(self) -> int:
-        return 2 * self.k + 1
 
     @property
     def window(self) -> int:
@@ -177,10 +171,7 @@ def build_tables(k: int) -> WenoTables:
     exact_c = _COEFFS[k]
     exact_d = _WEIGHTS[k]
     exact_b = _SMOOTHNESS[k]
-    coeffs = np.array([[float(v) for v in row] for row in exact_c])
     weights = np.array([float(v) for v in exact_d])
-    smooth = np.array([[[float(v) for v in row] for row in mat]
-                       for mat in exact_b])
     exact_cand = tuple(_newton_candidate(row) for row in exact_c)
     exact_forms = tuple(_newton_sum_of_squares(mat) for mat in exact_b)
     cand = np.zeros((k, 2, k + 1, 1))
@@ -207,8 +198,7 @@ def build_tables(k: int) -> WenoTables:
     return WenoTables(k=k, exact_coeffs=exact_c, exact_weights=exact_d,
                       exact_smoothness=exact_b,
                       exact_candidate_forms=exact_cand,
-                      exact_smoothness_forms=exact_forms, coeffs=coeffs,
-                      weights=weights, smoothness=smooth,
+                      exact_smoothness_forms=exact_forms, weights=weights,
                       newton_candidates=cand, newton_forms=forms,
                       newton_weights=form_weights, stencil_rows=rows)
 
@@ -280,25 +270,13 @@ def _normalised_weights(tables: WenoTables, epsilon: float, beta):
     return raw
 
 
-def _left_side(tables: WenoTables, window: np.ndarray, per_stencil):
-    """Side-0 (2, k+1, M) stencil rows as (..., k+1), one row per window."""
-    return per_stencil[0].T.reshape(window.shape[:-1] + (tables.k + 1,))
-
-
-def smoothness_indicators(tables: WenoTables, window: np.ndarray) -> np.ndarray:
-    """beta_r = q_r^T B_r q_r for every candidate stencil; (..., k+1)."""
-    window = _check_window(tables, window)
-    _, beta = _pair_terms(tables, _slot_major(tables, window))
-    return _left_side(tables, window, beta)
-
-
 def nonlinear_weights(tables: WenoTables, epsilon: float,
                       window: np.ndarray) -> np.ndarray:
     """Normalised weights omega_r = (d_r/(eps+beta_r)^2) / sum; (..., k+1)."""
     window = _check_window(tables, window)
     _, beta = _pair_terms(tables, _slot_major(tables, window))
-    return _left_side(tables, window,
-                      _normalised_weights(tables, epsilon, beta))
+    omega = _normalised_weights(tables, epsilon, beta)[0]  # the window's side
+    return omega.T.reshape(window.shape[:-1] + (tables.k + 1,))
 
 
 # Windows per kernel block: the block's temporaries, a few dozen rows of
@@ -333,16 +311,6 @@ def reconstruct_left(tables: WenoTables, epsilon: float,
                      window: np.ndarray) -> np.ndarray:
     """Value just left of x_{i+1/2} from the window centred on cell i."""
     return reconstruct_pair(tables, epsilon, window)[0]
-
-
-def reconstruct_right(tables: WenoTables, epsilon: float,
-                      window: np.ndarray) -> np.ndarray:
-    """Value just right of x_{i-1/2} from the window centred on cell i.
-
-    Mirror image of reconstruct_left: bitwise its value on the reversed
-    window.
-    """
-    return reconstruct_pair(tables, epsilon, window)[1]
 
 
 @lru_cache(maxsize=None)

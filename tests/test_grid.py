@@ -32,15 +32,6 @@ def test_temporal_grid_dt_times_steps_recovers_horizon():
     assert grid.n_nodes == 1025
 
 
-def test_temporal_grid_coarsening_divides_step_count():
-    fine = TemporalGrid(1.0, 64)
-    coarse = fine.coarsened(4)
-    assert coarse.n_steps == 16
-    assert coarse.dt == pytest.approx(4 * fine.dt)
-    with pytest.raises(ConfigError):
-        fine.coarsened(5)
-
-
 def test_trajectory_validates_shapes():
     tgrid = TemporalGrid(1.0, 4)
     sgrid = SpatialGrid(1.0, 8)

@@ -1,4 +1,9 @@
 """Config parsing, experiment driving, table/CSV output, and the CLI."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +25,9 @@ from mgritlab import (
     run_sweep,
     validate_config,
 )
+from mgritlab import selfcheck
+
+REPO = Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 problem = burgers
@@ -573,23 +581,49 @@ def test_cli_bad_model_parameter_exits_with_code_two(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("module", ["mgritlab", "mgritlab.cli"])
-def test_python_m_entry_points_run_cleanly(module):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import mgritlab
-    src = str(Path(mgritlab.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+def _run_python(args, **env):
+    """Run python with args, this checkout's package first on the path."""
+    src = str(Path(selfcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run([sys.executable, "-m", module, "--help"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, env=env, timeout=60, cwd=REPO)
+
+
+@pytest.mark.parametrize("module", ["mgritlab", "mgritlab.cli"])
+def test_python_m_entry_points_run_cleanly(module):
+    done = _run_python(["-m", module, "--help"])
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("usage: mgritlab")
+
+
+def test_csv_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 128 x 4097 states: past the size from which a threaded BLAS dot
+    # product splits its sum differently with the thread count
+    cfg = _write_config(tmp_path, MATCHED_SMALL.replace(
+        "N_x = 64", "N_x = 128").replace("N_t = 128", "N_t = 4096"))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        done = _run_python(["-m", "mgritlab", "solve", "--config", str(cfg),
+                            "--out", str(out)],
+                           OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads)
+        assert done.returncode == 0, done.stderr
+        residuals = [line for line in meta_path(out).read_text().splitlines()
+                     if line.startswith("residuals = ")]
+        outputs.append((out.read_bytes(), residuals))
+    assert outputs[0] == outputs[1]
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # the benchmark's --trace 1 wraps package functions by name
+    done = _run_python(["-c", "import sys; sys.path.insert(0, 'perfbench'); "
+                              "import tracing; "
+                              "tracing.install(tracing.Tracer())"])
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_sweep_on_plain_config_fails_cleanly(tmp_path, capsys):
@@ -598,11 +632,32 @@ def test_cli_sweep_on_plain_config_fails_cleanly(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
-def test_cli_verify_passes_every_check(capsys):
+def _crash():
+    raise RuntimeError("boom")
+
+
+def test_cli_verify_passes_every_check(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "CHECKS", [("a", lambda: (True, "fine"))])
     assert main(["verify"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11
-    assert all(line.startswith("PASS  ") for line in lines)
+    assert capsys.readouterr().out == "PASS  a: fine\n"
+
+
+def test_cli_verify_reports_failed_and_crashed_checks(monkeypatch, capsys):
+    monkeypatch.setattr(selfcheck, "CHECKS", [
+        ("passes", lambda: (True, "fine")),
+        ("fails", lambda: (False, "off by one")), ("raises", _crash)])
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  passes: fine",
+        "FAIL  fails: off by one",
+        "FAIL  raises: raised RuntimeError: boom"]
+
+
+@pytest.mark.parametrize("name,check", selfcheck.CHECKS,
+                         ids=[name for name, _ in selfcheck.CHECKS])
+def test_verify_check(name, check):
+    ok, detail = check()
+    assert ok, f"{name}: {detail}"
 
 
 @pytest.fixture
@@ -675,9 +730,7 @@ def test_cli_bad_run_override_exits_two_before_the_reference(
 # ----------------------------------------------------------------------
 
 def test_all_checked_in_configs_parse():
-    from pathlib import Path
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
-    paths = sorted(config_dir.glob("*.cfg"))
+    paths = sorted((REPO / "configs").glob("*.cfg"))
     assert len(paths) > 0
     for path in paths:
         config = load_config(path)

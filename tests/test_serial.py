@@ -58,7 +58,6 @@ def test_zero_initial_state_stays_zero():
     assert run.trajectory.values.shape == (17, 1, 32)
     assert np.all(run.trajectory.values == 0.0)
     assert run.max_speed == 0.0
-    assert run.max_cfl == 0.0
 
 
 def test_trajectory_nodes_match_manual_marching():
@@ -130,8 +129,6 @@ def test_sin_profile_steepens_into_shock_near_midpoint():
     midpoint_cell = sgrid.n_cells // 2
     assert abs(where - midpoint_cell + 0.5) <= 3.0
     assert run.max_speed > 0.0
-    assert run.max_cfl == pytest.approx(
-        run.max_speed * tgrid.dt / sgrid.dx, abs=1e-15)
 
 
 def test_moving_profile_is_shifted_stationary_profile():

@@ -24,12 +24,19 @@ from mgritlab import (
     nonlinear_weights,
     reconstruct_interface_states,
     reconstruct_left,
-    reconstruct_right,
-    smoothness_indicators,
 )
-from mgritlab.weno import BLOCK_WINDOWS, _pair_terms, _window_indices
+from mgritlab.weno import (BLOCK_WINDOWS, _pair_terms, _window_indices,
+                           reconstruct_pair)
 
 EPS = 1e-6
+
+
+def smoothness_indicators(tables, window):
+    """The kernel's beta_r of every candidate stencil; (..., k+1)."""
+    window = np.asarray(window, float)
+    rows = np.ascontiguousarray(window.reshape(-1, tables.window).T)
+    _, beta = _pair_terms(tables, rows)
+    return beta[0].T.reshape(window.shape[:-1] + (tables.k + 1,))
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +170,8 @@ def test_table_invariants(k):
     assert sum(tables.exact_weights) == 1
     assert all(w > 0 for w in tables.exact_weights)
     ones = np.ones(k + 1)
-    for mat in tables.smoothness:
+    for exact in tables.exact_smoothness:
+        mat = np.array(exact, float)
         assert np.array_equal(mat, mat.T)
         assert np.min(np.linalg.eigvalsh(mat)) >= -1e-12
         # constant data is perfectly smooth
@@ -293,7 +301,6 @@ def test_explicit_kernel_matches_exact_rational_tables(case):
     tables = build_tables(k)
     windows = np.array(rows)
     candidates, betas = _pair_terms(tables, np.ascontiguousarray(windows.T))
-    assert np.array_equal(betas[0].T, smoothness_indicators(tables, windows))
     for b, row in enumerate(rows):
         for side, ordered in enumerate((row, row[::-1])):
             q = [Fraction(v) for v in ordered]
@@ -320,8 +327,9 @@ def _einsum_reconstruct_left(tables, epsilon, window):
     smooth = np.zeros((k + 1, width, width))
     for r in range(k + 1):
         lo = k - r
-        coeffs[r, lo:lo + k + 1] = tables.coeffs[r]
-        smooth[r, lo:lo + k + 1, lo:lo + k + 1] = tables.smoothness[r]
+        coeffs[r, lo:lo + k + 1] = np.array(tables.exact_coeffs[r], float)
+        smooth[r, lo:lo + k + 1, lo:lo + k + 1] = np.array(
+            tables.exact_smoothness[r], float)
     candidates = np.einsum("rt,...t->...r", coeffs, window)
     beta = np.einsum("...a,rab,...b->...r", window, smooth, window)
     raw = tables.weights / np.square(epsilon + beta)
@@ -388,7 +396,7 @@ def test_weights_suppress_crossed_discontinuity():
 def test_reconstruct_degree_zero_is_identity():
     tables = build_tables(0)
     assert reconstruct_left(tables, EPS, np.array([3.25])) == 3.25
-    assert reconstruct_right(tables, EPS, np.array([-1.5])) == -1.5
+    assert reconstruct_pair(tables, EPS, np.array([-1.5]))[1] == -1.5
 
 
 def test_reconstruct_constants_exact():
@@ -397,7 +405,7 @@ def test_reconstruct_constants_exact():
         window = np.full(2 * k + 1, -2.75)
         assert reconstruct_left(tables, EPS, window) == pytest.approx(
             -2.75, abs=1e-13)
-        assert reconstruct_right(tables, EPS, window) == pytest.approx(
+        assert reconstruct_pair(tables, EPS, window)[1] == pytest.approx(
             -2.75, abs=1e-13)
 
 
@@ -408,7 +416,7 @@ def test_reconstruct_linear_data_exact():
         tables = build_tables(k)
         window = np.arange(-k, k + 1) + 0.5
         left = reconstruct_left(tables, EPS, window)
-        right = reconstruct_right(tables, EPS, window)
+        right = reconstruct_pair(tables, EPS, window)[1]
         assert left == pytest.approx(k + 1 - k - 0.0, abs=1e-12)
         assert left == pytest.approx(1.0, abs=1e-12)
         assert right == pytest.approx(0.0, abs=1e-12)
@@ -428,7 +436,7 @@ def test_reconstruct_right_mirrors_left():
         windows = rng.uniform(-2, 2, size=(10, 2 * k + 1))
         left_on_reversed = reconstruct_left(tables, EPS, windows[..., ::-1])
         assert np.array_equal(
-            reconstruct_right(tables, EPS, windows), left_on_reversed)
+            reconstruct_pair(tables, EPS, windows)[1], left_on_reversed)
 
 
 def test_reconstruct_rejects_wrong_window_width():
@@ -436,7 +444,7 @@ def test_reconstruct_rejects_wrong_window_width():
     with pytest.raises(DimensionError):
         reconstruct_left(tables, EPS, np.zeros(3))
     with pytest.raises(DimensionError):
-        smoothness_indicators(tables, np.zeros((4, 7)))
+        nonlinear_weights(tables, EPS, np.zeros((4, 7)))
 
 
 def _sin_averages(n):
@@ -732,8 +740,7 @@ def test_paired_kernel_bitwise_equals_one_side_evaluation(k, count, strided,
     else:
         windows = rng.standard_normal((count, width))
         windows *= 10.0 ** rng.uniform(-3, 3, size=(count, 1))
-    left = reconstruct_left(tables, epsilon, windows)
-    right = reconstruct_right(tables, epsilon, windows)
+    left, right = reconstruct_pair(tables, epsilon, windows)
     assert np.array_equal(
         left, _one_side_reconstruct_left(tables, epsilon, windows))
     assert np.array_equal(
