@@ -168,6 +168,33 @@ def test_roe_flux_burgers_matches_exact_riemann_solver():
     assert np.max(np.abs(out - exact)) < 1e-13
 
 
+@pytest.mark.parametrize("name", ["shallow-water", "euler"])
+def test_roe_linearisation_reproduces_flux_difference(name):
+    # the defining property of the averaged state: the flux difference is
+    # exactly the eigen-expansion of the jump scaled by the eigenvalues
+    model = make_model(name)
+    rng = np.random.default_rng(211)
+    n = 200
+
+    def sample():
+        if name == "shallow-water":
+            depth = rng.uniform(0.3, 3.0, n)
+            return np.stack([depth, depth * rng.uniform(-1, 1, n)])
+        rho = rng.uniform(0.3, 3.0, n)
+        vel = rng.uniform(-1.5, 1.5, n)
+        pressure = rng.uniform(0.3, 3.0, n)
+        energy = pressure / (model.gamma - 1.0) + 0.5 * rho * vel ** 2
+        return np.stack([rho, rho * vel, energy])
+
+    left, right = sample(), sample()
+    lam_hat, right_vec, left_vec = model.roe_eigen(left, right)
+    jump = right - left
+    strength = np.einsum("nkd,dn->nk", left_vec, jump)
+    recombined = np.einsum("nk,ndk->dn", lam_hat * strength, right_vec)
+    flux_diff = model.flux(right) - model.flux(left)
+    assert np.max(np.abs(recombined - flux_diff)) < 1e-10
+
+
 # ----------------------------------------------------------------------
 # configuration validation
 # ----------------------------------------------------------------------
