@@ -31,4 +31,21 @@ class DimensionError(ValueError):
 
 class PhysicalStateError(ValueError):
     """A state leaves the model's admissible set (e.g. negative depth,
-    density, or pressure)."""
+    density, or pressure).
+
+    problem says what is wrong. index, when given, is where the first
+    offending cell sits in a (..., N) array of cell values; the message
+    names the cell and, when there are batch axes, its batch position.
+    """
+
+    def __init__(self, problem: str, index: tuple = ()):
+        self.problem = problem
+        self.index = index
+        message = problem
+        if index:
+            message += f" in cell {index[-1]}"
+            batch = index[:-1]
+            if batch:
+                message += (" at batch position "
+                            f"{batch[0] if len(batch) == 1 else batch}")
+        super().__init__(message)

@@ -1,6 +1,8 @@
 """Interface fluxes and the semi-discrete finite-volume operator.
 
-Interface states come from WENO reconstruction; the numerical flux is either
+Interface states come from WENO reconstruction as one (2, ..., D, N) array
+of sides, sides[0] = uL and sides[1] = uR at x_{i+1/2}, and each flux
+evaluates the model once on both sides together. The numerical flux is either
 a global Lax-Friedrichs flux,
 
     f = 1/2 (f(uL) + f(uR)) - 1/2 alpha (uR - uL),
@@ -25,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import SpatialGrid
-from .models import ConservationModel
+from .models import ConservationModel, on_stack
 from .weno import (DEFAULT_EPSILON, SUPPORTED_DEGREES, build_tables,
                    reconstruct_interface_states)
 
@@ -67,25 +69,21 @@ class FluxConfig:
                 f"unknown flux kind '{self.kind}', expected one of {FLUX_KINDS}")
 
 
-def lf_alpha(model: ConservationModel, state_left: np.ndarray,
-             state_right: np.ndarray) -> np.ndarray:
+def lf_alpha(model: ConservationModel, sides: np.ndarray) -> np.ndarray:
     """Largest |eigenvalue| over all interfaces and both sides.
 
-    Reduces the interface and component axes only, so each member of a batch
-    of fields keeps its own dissipation speed; shape (...,).
+    Reduces the side, interface and component axes only, so each member of
+    a batch of fields keeps its own dissipation speed; shape (...,).
     """
-    speed_left = np.max(model.max_abs_speed(state_left), axis=-1)
-    speed_right = np.max(model.max_abs_speed(state_right), axis=-1)
-    return np.maximum(speed_left, speed_right)
+    return np.max(on_stack(model.max_abs_speed, sides), axis=(0, -1))
 
 
-def lf_flux(model: ConservationModel, state_left: np.ndarray,
-            state_right: np.ndarray, alpha) -> np.ndarray:
+def lf_flux(model: ConservationModel, sides: np.ndarray,
+            alpha) -> np.ndarray:
     """Lax-Friedrichs interface flux with dissipation speed alpha."""
     alpha = np.asarray(alpha, float)[..., None, None]
-    jump = state_right - state_left
-    return 0.5 * (model.flux(state_left) + model.flux(state_right)) \
-        - 0.5 * alpha * jump
+    fluxes = on_stack(model.flux, sides)
+    return 0.5 * (fluxes[0] + fluxes[1]) - 0.5 * alpha * (sides[1] - sides[0])
 
 
 def entropy_fix(lam_hat, lam_left, lam_right):
@@ -107,22 +105,19 @@ def entropy_fix(lam_hat, lam_left, lam_right):
     return float(out) if scalar else out
 
 
-def roe_flux(model: ConservationModel, state_left: np.ndarray,
-             state_right: np.ndarray) -> np.ndarray:
+def roe_flux(model: ConservationModel, sides: np.ndarray) -> np.ndarray:
     """Roe interface flux with entropy fix.
 
     Wave strengths are the expansion coefficients of the jump in the Roe
     eigenbasis, a = left_vectors @ (uR - uL); the fix compares each Roe
     eigenvalue with its counterparts evaluated at the two interface states.
     """
-    lam_hat, right_vec, left_vec = model.roe_eigen(state_left, state_right)
-    jump = np.swapaxes(state_right - state_left, -1, -2)[..., None]
+    fluxes, values, (lam_hat, right_vec, left_vec) = model.roe_terms(sides)
+    jump = np.swapaxes(sides[1] - sides[0], -1, -2)[..., None]
     strength = (left_vec @ jump)[..., 0]  # (..., N, K)
-    lam_left = model.eigenvalues(state_left)
-    lam_right = model.eigenvalues(state_right)
-    speed = entropy_fix(lam_hat, lam_left, lam_right)
+    speed = entropy_fix(lam_hat, values[0], values[1])
     dissipation = (right_vec @ (speed * strength)[..., None])[..., 0]
-    return 0.5 * (model.flux(state_left) + model.flux(state_right)) \
+    return 0.5 * (fluxes[0] + fluxes[1]) \
         - 0.5 * np.swapaxes(dissipation, -1, -2)
 
 
@@ -150,11 +145,10 @@ class SemiDiscreteOperator:
             self.config.weno.characteristic)
 
     def interface_flux(self, field: np.ndarray) -> np.ndarray:
-        state_left, state_right = self.interface_states(field)
+        sides = self.interface_states(field)
         if self.config.kind == "lf":
-            alpha = lf_alpha(self.model, state_left, state_right)
-            return lf_flux(self.model, state_left, state_right, alpha)
-        return roe_flux(self.model, state_left, state_right)
+            return lf_flux(self.model, sides, lf_alpha(self.model, sides))
+        return roe_flux(self.model, sides)
 
     def rhs(self, field: np.ndarray) -> np.ndarray:
         flux_at = self.interface_flux(field)  # entry i is interface i+1/2

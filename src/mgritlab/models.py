@@ -4,12 +4,17 @@ Every operation accepts states of shape (..., D, N): component-major cell
 values with arbitrary leading batch axes. Eigen quantities come back
 cell-major, shape (..., N, D) for eigenvalues and (..., N, D, D) for
 eigenvector matrices, so that per-cell projections are plain contractions.
+roe_terms takes both sides of every interface as one (2, ..., D, N) array,
+sides[0] just left and sides[1] just right of x_{i+1/2}, and evaluates the
+primitive variables of each side once, for the sides' fluxes and
+eigenvalues and the Roe average alike.
 
 Inadmissible states (non-positive depth, density, or pressure) raise
 PhysicalStateError naming the first offending cell and, for batched states,
-its batch position. Non-finite values do not raise; they propagate so that
-a diverging iteration can be detected by its caller instead of crashing
-mid-sweep.
+its batch position; for interface sides, the interface's cell index and the
+field's batch position, never the side. Non-finite values do not raise;
+they propagate so that a diverging iteration can be detected by its caller
+instead of crashing mid-sweep.
 """
 from __future__ import annotations
 
@@ -21,15 +26,25 @@ DEFAULT_GRAVITY = 9.81
 DEFAULT_GAMMA = 5.0 / 3.0
 
 
-def _first_bad_location(mask: np.ndarray) -> str:
-    """Where the first flagged entry of a (..., N) mask sits: its cell, and
-    its position along the batch axes when there are any."""
-    index = np.unravel_index(int(np.argmax(mask)), mask.shape)
-    where = f"cell {index[-1]}"
-    if mask.ndim > 1:
-        batch = tuple(int(i) for i in index[:-1])
-        where += f" at batch position {batch[0] if len(batch) == 1 else batch}"
-    return where
+def _reject(problem: str, bad: np.ndarray):
+    """Raise PhysicalStateError at the first flagged entry of a (..., N)
+    mask."""
+    index = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    raise PhysicalStateError(problem, tuple(int(i) for i in index))
+
+
+def on_stack(evaluate, stack: np.ndarray):
+    """evaluate(stack) on an array whose leading axis stacks arrays of
+    states: the two sides of every interface, or the nodes of a trajectory.
+
+    evaluate takes that axis for a batch axis; a physical-state error is
+    raised again without it, so that it names the cell and the batch
+    position within one stacked array, as for a field.
+    """
+    try:
+        return evaluate(stack)
+    except PhysicalStateError as err:
+        raise PhysicalStateError(err.problem, err.index[1:]) from None
 
 
 class ConservationModel:
@@ -59,8 +74,13 @@ class ConservationModel:
         """(values, right, left) per cell for characteristic projection."""
         raise NotImplementedError
 
-    def roe_eigen(self, ul: np.ndarray, ur: np.ndarray):
-        """(values, right, left) of the Roe linearisation per interface."""
+    def roe_terms(self, sides: np.ndarray):
+        """What the Roe flux needs at the interfaces whose (2, ..., D, N)
+        sides are given, from one pass over each side's primitive
+        variables: (fluxes, values, (roe_values, right, left)), the sides'
+        fluxes (2, ..., D, N) and eigenvalues (2, ..., N, D), and the
+        eigenvalues and right and left eigenvector matrices of the Roe
+        linearisation, (..., N, D) and (..., N, D, D)."""
         raise NotImplementedError
 
 
@@ -88,10 +108,11 @@ class Burgers(ConservationModel):
         eye = np.ones(lam.shape + (1,))
         return lam, eye, eye
 
-    def roe_eigen(self, ul, ur):
-        lam = 0.5 * (self.eigenvalues(ul) + self.eigenvalues(ur))
+    def roe_terms(self, sides):
+        values = self.eigenvalues(sides)
+        lam = 0.5 * (values[0] + values[1])
         eye = np.ones(lam.shape + (1,))
-        return lam, eye, eye
+        return self.flux(sides), values, (lam, eye, eye)
 
 
 class ShallowWater(ConservationModel):
@@ -108,22 +129,26 @@ class ShallowWater(ConservationModel):
     def _depth_velocity(self, u):
         h = u[..., 0, :]
         bad = h <= 0.0
-        if np.any(bad):
-            raise PhysicalStateError(
-                f"non-positive depth in {_first_bad_location(bad)}")
+        if bad.any():
+            _reject("non-positive depth", bad)
         return h, u[..., 1, :] / h
+
+    def _flux_from(self, u, h, vel):
+        return np.stack([u[..., 1, :], h * vel * vel + 0.5 * self.gravity * h * h],
+                        axis=-2)
+
+    @staticmethod
+    def _values_from(vel, c):
+        return np.stack([vel - c, vel + c], axis=-1)
 
     def flux(self, u):
         self._check_shape(u)
-        h, vel = self._depth_velocity(u)
-        return np.stack([u[..., 1, :], h * vel * vel + 0.5 * self.gravity * h * h],
-                        axis=-2)
+        return self._flux_from(u, *self._depth_velocity(u))
 
     def eigenvalues(self, u):
         self._check_shape(u)
         h, vel = self._depth_velocity(u)
-        c = np.sqrt(self.gravity * h)
-        return np.stack([vel - c, vel + c], axis=-1)
+        return self._values_from(vel, np.sqrt(self.gravity * h))
 
     def max_abs_speed(self, u):
         self._check_shape(u)
@@ -131,7 +156,7 @@ class ShallowWater(ConservationModel):
         return np.abs(vel) + np.sqrt(self.gravity * h)
 
     def _eigen_from(self, vel, c):
-        lam = np.stack([vel - c, vel + c], axis=-1)
+        lam = self._values_from(vel, c)
         right = np.empty(vel.shape + (2, 2))
         right[..., 0, :] = 1.0
         right[..., 1, :] = lam
@@ -149,15 +174,16 @@ class ShallowWater(ConservationModel):
         h, vel = self._depth_velocity(u)
         return self._eigen_from(vel, np.sqrt(self.gravity * h))
 
-    def roe_eigen(self, ul, ur):
-        self._check_shape(ul)
-        self._check_shape(ur)
-        hl, vl = self._depth_velocity(ul)
-        hr, vr = self._depth_velocity(ur)
-        sl, sr = np.sqrt(hl), np.sqrt(hr)
-        h_hat = 0.5 * (hl + hr)
-        u_hat = (sl * vl + sr * vr) / (sl + sr)
-        return self._eigen_from(u_hat, np.sqrt(self.gravity * h_hat))
+    def roe_terms(self, sides):
+        self._check_shape(sides)
+        h, vel = on_stack(self._depth_velocity, sides)
+        values = self._values_from(vel, np.sqrt(self.gravity * h))
+        root = np.sqrt(h)
+        weighted = root * vel
+        h_hat = 0.5 * (h[0] + h[1])
+        u_hat = (weighted[0] + weighted[1]) / (root[0] + root[1])
+        return (self._flux_from(sides, h, vel), values,
+                self._eigen_from(u_hat, np.sqrt(self.gravity * h_hat)))
 
 
 class Euler(ConservationModel):
@@ -174,20 +200,17 @@ class Euler(ConservationModel):
     def _primitives(self, u):
         rho = u[..., 0, :]
         bad = rho <= 0.0
-        if np.any(bad):
-            raise PhysicalStateError(
-                f"non-positive density in {_first_bad_location(bad)}")
+        if bad.any():
+            _reject("non-positive density", bad)
         vel = u[..., 1, :] / rho
         p = (self.gamma - 1.0) * (u[..., 2, :] - 0.5 * rho * vel * vel)
         bad = p <= 0.0
-        if np.any(bad):
-            raise PhysicalStateError(
-                f"non-positive pressure in {_first_bad_location(bad)}")
+        if bad.any():
+            _reject("non-positive pressure", bad)
         return rho, vel, p
 
-    def flux(self, u):
-        self._check_shape(u)
-        rho, vel, p = self._primitives(u)
+    @staticmethod
+    def _flux_from(u, vel, p):
         return np.stack([
             u[..., 1, :],
             u[..., 1, :] * vel + p,
@@ -197,11 +220,19 @@ class Euler(ConservationModel):
     def _sound_speed(self, rho, p):
         return np.sqrt(self.gamma * p / rho)
 
+    @staticmethod
+    def _values_from(vel, c):
+        return np.stack([vel - c, vel, vel + c], axis=-1)
+
+    def flux(self, u):
+        self._check_shape(u)
+        _, vel, p = self._primitives(u)
+        return self._flux_from(u, vel, p)
+
     def eigenvalues(self, u):
         self._check_shape(u)
         rho, vel, p = self._primitives(u)
-        c = self._sound_speed(rho, p)
-        return np.stack([vel - c, vel, vel + c], axis=-1)
+        return self._values_from(vel, self._sound_speed(rho, p))
 
     def max_abs_speed(self, u):
         self._check_shape(u)
@@ -220,7 +251,7 @@ class Euler(ConservationModel):
         which needs c^2 = (gamma-1)(H - u^2/2); that holds for cell states
         and for the Roe average alike.
         """
-        lam = np.stack([vel - c, vel, vel + c], axis=-1)
+        lam = self._values_from(vel, c)
         right = np.empty(vel.shape + (3, 3))
         right[..., 0, :] = 1.0
         right[..., 1, :] = lam
@@ -252,22 +283,22 @@ class Euler(ConservationModel):
         enthalpy = (u[..., 2, :] + p) / rho
         return self._eigen_from(vel, c, enthalpy)
 
-    def roe_eigen(self, ul, ur):
-        self._check_shape(ul)
-        self._check_shape(ur)
-        rl, vl, pl = self._primitives(ul)
-        rr, vr, pr = self._primitives(ur)
-        hl = (ul[..., 2, :] + pl) / rl
-        hr = (ur[..., 2, :] + pr) / rr
-        sl, sr = np.sqrt(rl), np.sqrt(rr)
-        u_hat = (sl * vl + sr * vr) / (sl + sr)
-        h_hat = (sl * hl + sr * hr) / (sl + sr)
+    def roe_terms(self, sides):
+        self._check_shape(sides)
+        rho, vel, p = on_stack(self._primitives, sides)
+        values = self._values_from(vel, self._sound_speed(rho, p))
+        root = np.sqrt(rho)
+        weighted_vel = root * vel
+        weighted_enthalpy = root * ((sides[..., 2, :] + p) / rho)
+        total = root[0] + root[1]
+        u_hat = (weighted_vel[0] + weighted_vel[1]) / total
+        h_hat = (weighted_enthalpy[0] + weighted_enthalpy[1]) / total
         c_sq = (self.gamma - 1.0) * (h_hat - 0.5 * u_hat * u_hat)
         bad = c_sq <= 0.0
-        if np.any(bad):
-            raise PhysicalStateError("Roe average loses hyperbolicity in "
-                                     + _first_bad_location(bad))
-        return self._eigen_from(u_hat, np.sqrt(c_sq), h_hat)
+        if bad.any():
+            _reject("Roe average loses hyperbolicity", bad)
+        return (self._flux_from(sides, vel, p), values,
+                self._eigen_from(u_hat, np.sqrt(c_sq), h_hat))
 
 
 _MODEL_KINDS = {

@@ -139,19 +139,20 @@ def _check_roe_linearisation():
     worst = 0.0
     for kind in ("shallow-water", "euler"):
         model = make_model(kind)
-        ul, ur = _admissible_state(model, draw), _admissible_state(model, draw)
-        lam, right, left = model.roe_eigen(ul, ur)
-        strength = (left @ (ur - ul).T[..., None])[..., 0]
+        sides = np.stack([_admissible_state(model, draw),
+                          _admissible_state(model, draw)])
+        fluxes, _, (lam, right, left) = model.roe_terms(sides)
+        strength = (left @ (sides[1] - sides[0]).T[..., None])[..., 0]
         assembled = (right @ (lam * strength)[..., None])[..., 0].T
-        jump = model.flux(ur) - model.flux(ul)
+        jump = fluxes[1] - fluxes[0]
         worst = max(worst, float(np.max(np.abs(assembled - jump))))
     return worst < 1e-10, f"flux differences linearised, worst {worst:.2e}"
 
 
 def _check_roe_upwind():
     model = Burgers()
-    shock = roe_flux(model, np.array([[2.0]]), np.array([[0.0]]))[0, 0]
-    transonic = roe_flux(model, np.array([[-1.0]]), np.array([[1.0]]))[0, 0]
+    shock = roe_flux(model, np.array([[[2.0]], [[0.0]]]))[0, 0]
+    transonic = roe_flux(model, np.array([[[-1.0]], [[1.0]]]))[0, 0]
     ok = abs(shock - 2.0) < 1e-14 and abs(transonic) < 1e-14
     return ok, f"shock flux {shock}, transonic flux {transonic}"
 
@@ -168,8 +169,8 @@ def _check_matched_fine():
     alpha = grid.dx / dt
 
     def rhs(state):
-        left, right = op.interface_states(state)
-        f = lf_flux(model, left, right, np.full(state.shape[:-2], alpha))
+        f = lf_flux(model, op.interface_states(state),
+                    np.full(state.shape[:-2], alpha))
         return -(f - np.roll(f, 1, axis=-1)) / grid.dx
 
     euler_step = step_fe(rhs, u, dt)

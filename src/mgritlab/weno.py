@@ -322,27 +322,31 @@ def _window_indices(n_cells: int, k: int) -> np.ndarray:
     return index
 
 
-def _next_cell(values: np.ndarray) -> np.ndarray:
-    """Entry i holds entry i+1 of values along the periodic last axis."""
-    shifted = np.empty_like(values)
-    shifted[..., :-1] = values[..., 1:]
-    shifted[..., -1] = values[..., 0]
-    return shifted
+def _interface_sides(values: np.ndarray) -> np.ndarray:
+    """Contiguous (2, ..., D, N) sides from every cell's (2, ..., D, N)
+    values: side 0 as it is, side 1 moved from cell i+1 to entry i along
+    the periodic last axis."""
+    sides = np.empty(values.shape)
+    sides[0] = values[0]
+    sides[1, ..., :-1] = values[1, ..., 1:]
+    sides[1, ..., -1] = values[1, ..., 0]
+    return sides
 
 
 def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
                                  epsilon: float, characteristic: bool = True):
     """Left and right states at every interface of a periodic field.
 
-    field has shape (..., D, N); entry i of each returned array belongs to
-    interface i+1/2 (the right edge of cell i). Each cell's window is
-    gathered once and gives both of the cell's values: the left value at
-    x_{i+1/2} and the right value at x_{i-1/2}, which one shift by a cell
-    puts at the interface it belongs to. With characteristic=True and
-    D > 1, the window is projected onto the characteristic fields of its
-    own cell, reconstructed per field, and projected back. Degree 0 is the
-    identity, so it returns the field and its neighbour without any
-    projection.
+    field has shape (..., D, N). Returns one C-contiguous (2, ..., D, N)
+    array of sides: sides[0] is u- and sides[1] is u+ at x_{i+1/2}, the
+    right edge of cell i, so `left, right = sides` unpacks them. Each
+    cell's window is gathered once and gives both of the cell's values:
+    the left value at x_{i+1/2} and the right value at x_{i-1/2}, which one
+    shift by a cell puts at the interface it belongs to. With
+    characteristic=True and D > 1, the window is projected onto the
+    characteristic fields of its own cell, reconstructed per field, and
+    projected back. Degree 0 is the identity, so its sides are the field
+    and its neighbour, without any projection.
     """
     field = np.asarray(field, float)
     if field.ndim < 2:
@@ -352,7 +356,7 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
         raise DimensionError(
             f"{n_cells} cells cannot support a {tables.window}-cell window")
     if tables.k == 0:
-        return field, _next_cell(field)
+        return _interface_sides(np.broadcast_to(field, (2,) + field.shape))
     index = _window_indices(n_cells, tables.k)
     if characteristic and field.shape[-2] > 1:
         _, right_vec, left_vec = model.eigen_cells(field)  # (..., N, D, D)
@@ -362,8 +366,8 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
         # own characteristic fields too
         component = np.arange(field.shape[-2])[:, None]
         windows = left_vec @ field[..., component, index[:, None, :]]
-        values = reconstruct_pair(tables, epsilon, windows)
-        states = np.swapaxes((right_vec @ values[..., None])[..., 0], -1, -2)
-        return states[0], _next_cell(states[1])
-    values = reconstruct_pair(tables, epsilon, field[..., index])
-    return values[0], _next_cell(values[1])
+        pair = reconstruct_pair(tables, epsilon, windows)
+        values = np.swapaxes((right_vec @ pair[..., None])[..., 0], -1, -2)
+    else:
+        values = reconstruct_pair(tables, epsilon, field[..., index])
+    return _interface_sides(values)

@@ -156,7 +156,7 @@ def test_criterion_04_conservation():
         operator = SemiDiscreteOperator(
             model, grid,
             FluxConfig(kind=flux_kind, weno=WenoConfig(order=weno_order)))
-        dt = 0.2 * grid.dx / float(lf_alpha(model, state, state))
+        dt = 0.2 * grid.dx / float(lf_alpha(model, np.stack([state, state])))
         stepper = RungeKuttaStepper(operator.rhs, dt, rk_order)
         totals = state.sum(axis=-1)
         for _ in range(2):
@@ -187,11 +187,11 @@ def test_criterion_05_roe_linearisation():
                       + 0.5 * density * velocity ** 2)
             return np.stack([density, density * velocity, energy])
 
-        left, right = sample(), sample()
-        lam_hat, right_vec, left_vec = model.roe_eigen(left, right)
-        strength = np.einsum("nkd,dn->nk", left_vec, right - left)
+        sides = np.stack([sample(), sample()])
+        fluxes, _, (lam_hat, right_vec, left_vec) = model.roe_terms(sides)
+        strength = np.einsum("nkd,dn->nk", left_vec, sides[1] - sides[0])
         recombined = np.einsum("nk,ndk->dn", lam_hat * strength, right_vec)
-        flux_diff = model.flux(right) - model.flux(left)
+        flux_diff = fluxes[1] - fluxes[0]
         assert np.max(np.abs(recombined - flux_diff)) < 1e-8
 
 

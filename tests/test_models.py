@@ -179,7 +179,8 @@ def test_euler_closed_form_left_vectors_invert_right_at_roe_averages(gamma,
     model = Euler(gamma=gamma)
     states_left = _euler_states(gamma, [a for a, _ in pairs])
     states_right = _euler_states(gamma, [b for _, b in pairs])
-    _, right, left = model.roe_eigen(states_left, states_right)
+    _, _, (_, right, left) = model.roe_terms(np.stack([states_left,
+                                                       states_right]))
     _assert_closed_form_left_is_the_inverse(right, left)
 
 
@@ -192,14 +193,15 @@ def test_roe_average_consistency_for_equal_states(kind):
     rng = np.random.default_rng(14)
     states = random_admissible_states(model, rng, 12)
     lam_pt, right_pt, _ = model.eigen_cells(states)
-    lam_roe, right_roe, _ = model.roe_eigen(states, states)
+    _, _, (lam_roe, right_roe, _) = model.roe_terms(np.stack([states,
+                                                              states]))
     np.testing.assert_allclose(lam_roe, lam_pt, atol=1e-12)
     np.testing.assert_allclose(right_roe, right_pt, atol=1e-12)
 
 
 def test_burgers_roe_speed_is_arithmetic_mean():
     model = Burgers()
-    lam, _, _ = model.roe_eigen(np.array([[0.0]]), np.array([[2.0]]))
+    _, _, (lam, _, _) = model.roe_terms(np.array([[[0.0]], [[2.0]]]))
     np.testing.assert_allclose(lam, [[1.0]])
 
 
@@ -208,7 +210,7 @@ def test_shallow_water_roe_average_hand_value():
     left_state = np.array([[4.0], [4.0]])    # depth 4, velocity 1
     right_state = np.array([[1.0], [-2.0]])  # depth 1, velocity -2
     # Roe average: h = 2.5 and u = 0, so the speeds are u -+ sqrt(g h)
-    lam, _, _ = model.roe_eigen(left_state, right_state)
+    _, _, (lam, _, _) = model.roe_terms(np.stack([left_state, right_state]))
     np.testing.assert_allclose(lam, [[-np.sqrt(2.5), np.sqrt(2.5)]],
                                atol=1e-15)
 

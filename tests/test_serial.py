@@ -6,6 +6,7 @@ from mgritlab import (
     DimensionError,
     FluxConfig,
     MatchedLFFine,
+    PhysicalStateError,
     RungeKuttaStepper,
     SemiDiscreteOperator,
     SpatialGrid,
@@ -15,6 +16,7 @@ from mgritlab import (
     make_model,
     solve_serial,
 )
+from mgritlab.serial import SPEED_BLOCK_NODES
 
 
 def test_discretise_ic_constant_profile():
@@ -147,3 +149,54 @@ def test_wall_time_is_recorded():
     stepper = MatchedLFFine(model, sgrid, tgrid.dt)
     run = solve_serial(stepper, np.zeros((1, 16)), tgrid, sgrid, model=model)
     assert run.wall_seconds >= 0.0
+
+
+class _Replay:
+    """A stepper that hands out prepared states in order."""
+
+    def __init__(self, states, dt):
+        self.states = iter(states)
+        self.dt = dt
+
+    def advance(self, u):
+        return next(self.states)
+
+
+def _euler_nodes(n_nodes, n_cells, rng):
+    rho = rng.uniform(0.3, 3.0, (n_nodes, n_cells))
+    vel = rng.uniform(-2.0, 2.0, (n_nodes, n_cells))
+    energy = rng.uniform(0.3, 3.0, (n_nodes, n_cells)) / (5.0 / 3.0 - 1.0) \
+        + 0.5 * rho * vel * vel
+    return np.stack([rho, rho * vel, energy], axis=-2)
+
+
+def test_max_speed_is_the_largest_over_every_node():
+    # more nodes than one wave-speed block; a node with a NaN speed is
+    # passed over whole, as max() passes over NaN
+    model = make_model("euler")
+    sgrid = SpatialGrid(1.0, 8)
+    tgrid = TemporalGrid(1.0, SPEED_BLOCK_NODES + 40)
+    nodes = _euler_nodes(tgrid.n_nodes, 8, np.random.default_rng(59))
+    nodes[SPEED_BLOCK_NODES + 3, 2, 2] = 1e4     # fastest node...
+    nodes[SPEED_BLOCK_NODES + 3, 2, 4] = np.nan  # ...but not finite
+    nodes[SPEED_BLOCK_NODES + 7, 2, 6] = 1e3
+    run = solve_serial(_Replay(nodes[1:], tgrid.dt), nodes[0], tgrid, sgrid,
+                       model=model)
+    expected = 0.0
+    for state in nodes:
+        expected = max(expected, float(np.max(model.max_abs_speed(state))))
+    assert run.max_speed == expected
+    assert expected == float(np.max(model.max_abs_speed(
+        nodes[SPEED_BLOCK_NODES + 7])))
+
+
+def test_inadmissible_last_node_fails_the_reference():
+    model = make_model("euler")
+    sgrid = SpatialGrid(1.0, 8)
+    tgrid = TemporalGrid(1.0, SPEED_BLOCK_NODES + 40)
+    nodes = _euler_nodes(tgrid.n_nodes, 8, np.random.default_rng(61))
+    nodes[-1, 0, 5] = -1.0
+    with pytest.raises(PhysicalStateError) as err:
+        solve_serial(_Replay(nodes[1:], tgrid.dt), nodes[0], tgrid, sgrid,
+                     model=model)
+    assert str(err.value) == "non-positive density in cell 5"

@@ -177,24 +177,6 @@ def test_matched_coarse_single_fold_reduces_to_fine_step():
         assert np.array_equal(coarse, fine)
 
 
-@pytest.mark.parametrize("order,floor", [(1, 1.9), (0, 0.9)])
-def test_matched_coarse_approximates_composed_fine_step(order, floor):
-    # fixed mesh, shrinking dt: the order-q matched operator deviates from
-    # the two-fold fine composition at rate dt^(q+1)
-    model, grid = _burgers_grid(64)
-    x = grid.cell_centers()
-    u = np.sin(2 * np.pi * x)[None, :]
-    dts = grid.dx * np.array([0.2, 0.1, 0.05, 0.025])
-    errs = []
-    for dt in dts:
-        fine = MatchedLFFine(model, grid, dt)
-        two_fold = fine.advance(fine.advance(u))
-        matched = MatchedLFCoarse(model, grid, dt, 2, order=order).advance(u)
-        errs.append(np.max(np.abs(matched - two_fold)))
-    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    assert slope >= floor
-
-
 def test_rediscretized_uses_given_step_directly():
     # the rediscretised coarse operator is the fine scheme built with the
     # coarse step m dt: E u - (m dt) D f(u)

@@ -125,17 +125,6 @@ def test_tables_match_symbolic_derivation(k):
     assert tables.exact_smoothness == bs
 
 
-def test_degree_two_tables_exact_values():
-    tables = build_tables(2)
-    f = Fraction
-    assert tables.exact_coeffs == (
-        (f(1, 3), f(5, 6), f(-1, 6)),
-        (f(-1, 6), f(5, 6), f(1, 3)),
-        (f(1, 3), f(-7, 6), f(11, 6)),
-    )
-    assert tables.exact_weights == (f(3, 10), f(3, 5), f(1, 10))
-
-
 def test_degree_zero_and_one_tables_exact_values():
     t0 = build_tables(0)
     assert t0.exact_coeffs == ((Fraction(1),),)
@@ -482,7 +471,9 @@ def test_interface_states_degree_zero_alignment():
     model = make_model("burgers")
     field = np.array([[1.0, 2.0, 3.0, 4.0]])
     tables = build_tables(0)
-    left, right = reconstruct_interface_states(model, field, tables, EPS)
+    sides = reconstruct_interface_states(model, field, tables, EPS)
+    assert sides.shape == (2,) + field.shape and sides.flags.c_contiguous
+    left, right = sides
     assert np.array_equal(left, field)
     assert np.array_equal(right, np.roll(field, -1, axis=-1))
 
@@ -756,8 +747,11 @@ def test_interface_states_bitwise_equal_two_gather_form(kind, characteristic,
     field = _smooth_field(model, kind, batch, 24, np.random.default_rng(29))
     for k in (1, 2, 3):
         tables = build_tables(k)
-        left, right = reconstruct_interface_states(
+        sides = reconstruct_interface_states(
             model, field, tables, EPS, characteristic=characteristic)
+        assert sides.shape == (2,) + field.shape
+        assert sides.flags.c_contiguous
+        left, right = sides
         expected = _two_gather_interface_states(model, field, tables, EPS,
                                                 characteristic)
         assert np.array_equal(left, expected[0])
