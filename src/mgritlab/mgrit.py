@@ -12,7 +12,9 @@ between consecutive coarse nodes from the coarse node on their left;
 C-relaxation recomputes each coarse node from its left neighbour. Chunks
 never read what another chunk writes, so they advance as one batched
 operation, and a parallelism degree only slices that batch across worker
-threads; results are bitwise identical for any degree.
+threads; results are bitwise identical for any degree. A sweep reads and
+writes every m-th node through strided views of the level's arrays and
+hands each stepper a contiguous copy of the states it advances.
 
 Coarsening is a full-approximation-scheme restriction: with i the coarse
 node index and mi its fine counterpart,
@@ -180,6 +182,9 @@ class MgritHierarchy:
         self._f_current = [False] * n_levels
         # Phi_0(u_0^{mi-1}) from residual_norm, while level 0 is unchanged
         self._phi0 = None
+        # residual_norm's finest-level residual, zero at F-points; made on
+        # first use, after row 0's whole-level step has set the peak memory
+        self._residual = None
         self._executor = None
 
     # -- parallel plumbing ------------------------------------------------
@@ -197,11 +202,6 @@ class MgritHierarchy:
         # list() re-raises the first worker exception in this thread
         list(self._executor.map(guarded, slices))
 
-    def _c_points(self, l: int) -> np.ndarray:
-        """Node indices mi of level l's C-points, i = 1 .. n_intervals/m."""
-        m = self.options.m
-        return m * np.arange(1, self.levels[l].n_intervals // m + 1)
-
     def _invalidate(self, l: int) -> None:
         """Level l's u or g is about to change."""
         self._f_current[l] = False
@@ -216,32 +216,33 @@ class MgritHierarchy:
         if self._f_current[l]:
             return
         level, m = self.levels[l], self.options.m
-        starts = m * np.arange(level.n_intervals // m)
+        n = level.n_intervals
 
         def work(sl):
-            base = starts[sl]
-            state = level.u[base]
+            state = level.u[0:n:m][sl]
             for j in range(1, m):
-                state = level.stepper.advance(state) + level.g[base + j]
-                level.u[base + j] = state
+                target = level.u[j:n:m][sl]
+                np.add(level.stepper.advance(np.ascontiguousarray(state)),
+                       level.g[j:n:m][sl], out=target)
+                state = target
 
-        self._apply(work, len(starts))
+        self._apply(work, n // m)
         self._f_current[l] = True
 
     def c_relax(self, l: int) -> None:
         """Recompute each coarse node from its fine left neighbour."""
         phi0 = self._phi0 if l == 0 else None
         self._invalidate(l)
-        level = self.levels[l]
-        targets = self._c_points(l)
+        level, m = self.levels[l], self.options.m
+        n = level.n_intervals
 
         def work(sl):
-            t = targets[sl]
-            phi = (level.stepper.advance(level.u[t - 1]) if phi0 is None
-                   else phi0[sl])
-            level.u[t] = phi + level.g[t]
+            phi = (level.stepper.advance(
+                np.ascontiguousarray(level.u[m - 1:n:m][sl]))
+                if phi0 is None else phi0[sl])
+            np.add(phi, level.g[m::m][sl], out=level.u[m::m][sl])
 
-        self._apply(work, len(targets))
+        self._apply(work, n // m)
 
     def relax(self, l: int) -> None:
         self.f_relax(l)
@@ -252,25 +253,27 @@ class MgritHierarchy:
     def restrict(self, l: int) -> None:
         """Fill level l+1's rhs and starting iterate from level l."""
         fine, coarse = self.levels[l], self.levels[l + 1]
-        m = self.options.m
-        mi = self._c_points(l)
+        m, n = self.options.m, fine.n_intervals
         phi0 = self._phi0 if l == 0 else None
         self._invalidate(l + 1)
         coarse.g[0] = fine.u[0]
         coarse.u[0] = fine.u[0]
 
         def work(sl):
-            idx = mi[sl]
-            phi_fine = (fine.stepper.advance(fine.u[idx - 1]) if phi0 is None
-                        else phi0[sl])
-            psi_old = coarse.stepper.advance(fine.u[idx - m])
-            coarse.g[idx // m] = fine.g[idx] + phi_fine - psi_old
+            phi_fine = (fine.stepper.advance(
+                np.ascontiguousarray(fine.u[m - 1:n:m][sl]))
+                if phi0 is None else phi0[sl])
+            psi_old = coarse.stepper.advance(
+                np.ascontiguousarray(fine.u[0:n:m][sl]))
+            g_fine, g_coarse = fine.g[m::m][sl], coarse.g[1:][sl]
+            np.add(g_fine, phi_fine, out=g_coarse)
+            np.subtract(g_coarse, psi_old, out=g_coarse)
             if self.options.guess == "last-step":
-                coarse.u[idx // m] = phi_fine + fine.g[idx]
+                np.add(phi_fine, g_fine, out=coarse.u[1:][sl])
             else:
-                coarse.u[idx // m] = fine.u[idx]
+                coarse.u[1:][sl] = fine.u[m::m][sl]
 
-        self._apply(work, len(mi))
+        self._apply(work, n // m)
 
     def coarse_solve(self) -> None:
         """Sequential solve of the coarsest level (exact for that level)."""
@@ -329,19 +332,24 @@ class MgritHierarchy:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 predicted = level.stepper.advance(level.u[:-1])
                 return l2_norm(level.g[1:] + predicted - level.u[1:])
-        mi = self._c_points(0)
-        phi0 = np.empty((len(mi),) + level.u.shape[1:])
+        m, n = self.options.m, level.n_intervals
+        phi0 = np.empty((n // m,) + level.u.shape[1:])
 
         def work(sl):
-            phi0[sl] = level.stepper.advance(level.u[mi[sl] - 1])
+            phi0[sl] = level.stepper.advance(
+                np.ascontiguousarray(level.u[m - 1:n:m][sl]))
 
-        self._apply(work, len(mi))
+        self._apply(work, n // m)
         self._phi0 = phi0
-        # zero F-point rows keep the norm's summation order of a full sweep
-        residual = np.zeros_like(level.u[1:])
+        if self._residual is None:
+            self._residual = np.zeros_like(level.u[1:])
+        # rows mi - 1 of a buffer whose F-point rows stay zero: the norm
+        # keeps the summation order of a full sweep
+        rows = self._residual[m - 1::m]
         with np.errstate(over="ignore", invalid="ignore"):
-            residual[mi - 1] = level.g[mi] + phi0 - level.u[mi]
-            return l2_norm(residual)
+            np.add(level.g[m::m], phi0, out=rows)
+            np.subtract(rows, level.u[m::m], out=rows)
+            return l2_norm(self._residual)
 
     def fine_values(self) -> np.ndarray:
         return self.levels[0].u

@@ -46,6 +46,10 @@ each output cell goes through the same floating-point operations on the
 same operands, in the same order, as the formulas on rolled copies,
 0.5 * (roll(v, -1) + roll(v, 1)) and (roll(f, -1) - roll(f, 1)) / (2 dx):
 results are bitwise equal to them, at any batch shape.
+
+A batch of more than BLOCK_CELLS padded cells runs the kernel over blocks
+of leading states into one output array; every operation is per cell, so
+the blocks give the same bits as one call over the whole batch.
 """
 from __future__ import annotations
 
@@ -142,6 +146,14 @@ def lf_expansion(model: ConservationModel, u: np.ndarray, dx: float,
     return _average(v) - step * acc
 
 
+# Padded cells, (N + 2m) per state, per kernel call of a batched matched
+# step: each temporary stays a few hundred KiB, which the allocator keeps
+# between calls instead of mapping and page-faulting it afresh, and a block
+# costs a handful of numpy calls (README, "Kernel forms", has the measured
+# block-size curve).
+BLOCK_CELLS = 32768
+
+
 class MatchedLFCoarse:
     """Truncated expansion of Phi^m, matching the fine scheme to the given
     order in dt; one application stands in for m_effective fine steps."""
@@ -162,11 +174,24 @@ class MatchedLFCoarse:
         self.m_effective = m_effective
         self.order = order
         self.dt = dt_fine * m_effective
+        self._step = self.dt if order == 0 else dt_fine
+        n_cells = space_grid.n_cells
+        self._block_states = max(1, BLOCK_CELLS // (n_cells + 2 * m_effective))
+        self._unblocked_size = self._block_states * n_cells
 
     def advance(self, u: np.ndarray) -> np.ndarray:
-        step = self.dt if self.order == 0 else self.dt_fine
-        return lf_expansion(self.model, u, self.dx, step, self.m_effective,
-                            self.order)
+        if u.size <= self._unblocked_size or u.ndim < 3:
+            return lf_expansion(self.model, u, self.dx, self._step,
+                                self.m_effective, self.order)
+        states = u.reshape((-1,) + u.shape[-2:])
+        out = np.empty(u.shape)
+        out_states = out.reshape(states.shape)
+        for start in range(0, len(states), self._block_states):
+            block = slice(start, start + self._block_states)
+            out_states[block] = lf_expansion(self.model, states[block],
+                                             self.dx, self._step,
+                                             self.m_effective, self.order)
+        return out
 
 
 class MatchedLFFine(MatchedLFCoarse):

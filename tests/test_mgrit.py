@@ -32,6 +32,7 @@ from mgritlab import (
     rel_l2_spacetime_error,
     solve_serial,
 )
+from mgritlab import mgrit as mgrit_module
 from mgritlab.grid import l2_norm
 
 
@@ -57,6 +58,20 @@ class CountingStepper:
     def advance(self, u):
         self.states += math.prod(u.shape[:-2])
         return self.inner.advance(u)
+
+
+class ContiguousInputStepper(CountingStepper):
+    """Counts calls and states, and rejects every input that is not
+    C-contiguous."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.calls = 0
+
+    def advance(self, u):
+        assert u.flags.c_contiguous, u.strides
+        self.calls += 1
+        return super().advance(u)
 
 
 def _toy_hierarchy(factors, n_steps, m=2, **kwargs):
@@ -178,6 +193,81 @@ def ref_mgrit_solve(steppers, u0, tgrid, sgrid, options, reference):
         errors.append(rel_l2_spacetime_error(h.fine_values(), reference))
         residuals.append(full_residual_norm(h.levels[0]))
     return h.fine_values(), np.array(errors), np.array(residuals)
+
+
+class FancyIndexHierarchy(MgritHierarchy):
+    """The batched sweeps written as index-array gathers of whole levels
+    and scatters back, with a fresh zero residual per norm."""
+
+    def _c_points(self, l):
+        m = self.options.m
+        return m * np.arange(1, self.levels[l].n_intervals // m + 1)
+
+    def f_relax(self, l):
+        if self._f_current[l]:
+            return
+        level, m = self.levels[l], self.options.m
+        starts = m * np.arange(level.n_intervals // m)
+
+        def work(sl):
+            base = starts[sl]
+            state = level.u[base]
+            for j in range(1, m):
+                state = level.stepper.advance(state) + level.g[base + j]
+                level.u[base + j] = state
+
+        self._apply(work, len(starts))
+        self._f_current[l] = True
+
+    def c_relax(self, l):
+        phi0 = self._phi0 if l == 0 else None
+        self._invalidate(l)
+        level, targets = self.levels[l], self._c_points(l)
+
+        def work(sl):
+            t = targets[sl]
+            phi = (level.stepper.advance(level.u[t - 1]) if phi0 is None
+                   else phi0[sl])
+            level.u[t] = phi + level.g[t]
+
+        self._apply(work, len(targets))
+
+    def restrict(self, l):
+        fine, coarse = self.levels[l], self.levels[l + 1]
+        m, mi = self.options.m, self._c_points(l)
+        phi0 = self._phi0 if l == 0 else None
+        self._invalidate(l + 1)
+        coarse.g[0] = fine.u[0]
+        coarse.u[0] = fine.u[0]
+
+        def work(sl):
+            idx = mi[sl]
+            phi_fine = (fine.stepper.advance(fine.u[idx - 1]) if phi0 is None
+                        else phi0[sl])
+            psi_old = coarse.stepper.advance(fine.u[idx - m])
+            coarse.g[idx // m] = fine.g[idx] + phi_fine - psi_old
+            if self.options.guess == "last-step":
+                coarse.u[idx // m] = phi_fine + fine.g[idx]
+            else:
+                coarse.u[idx // m] = fine.u[idx]
+
+        self._apply(work, len(mi))
+
+    def residual_norm(self):
+        level = self.levels[0]
+        if not self._f_current[0]:
+            return full_residual_norm(level)
+        mi = self._c_points(0)
+        phi0 = np.empty((len(mi),) + level.u.shape[1:])
+
+        def work(sl):
+            phi0[sl] = level.stepper.advance(level.u[mi[sl] - 1])
+
+        self._apply(work, len(mi))
+        self._phi0 = phi0
+        residual = np.zeros_like(level.u[1:])
+        residual[mi - 1] = level.g[mi] + phi0 - level.u[mi]
+        return l2_norm(residual)
 
 
 # ----------------------------------------------------------------------
@@ -520,6 +610,50 @@ def test_solve_is_bitwise_equal_to_always_relaxing(cycle, relaxation, guess,
     assert np.array_equal(trajectory.values, values)
     assert np.array_equal(record.errors, errors)
     assert np.array_equal(record.residuals, residuals)
+
+
+@pytest.mark.parametrize("cycle, relaxation, guess",
+                         [("v", "f", "last-step"), ("f", "fcf", "injection")])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_strided_sweeps_equal_fancy_index_sweeps(monkeypatch, cycle,
+                                                 relaxation, guess, m,
+                                                 parallelism):
+    model, sgrid, tgrid, steppers, u0, serial = _burgers_setup(
+        n_x=16, n_t=4 * m ** 2, horizon=0.05, n_levels=3, m=m)
+    options = MgritOptions(n_levels=3, m=m, cycle=cycle,
+                           relaxation=relaxation, guess=guess, max_iters=3,
+                           parallelism=parallelism)
+
+    def solve(hierarchy_class):
+        hierarchies = []
+
+        class Kept(hierarchy_class):
+            def __init__(self, *args):
+                super().__init__(*args)
+                hierarchies.append(self)
+
+        monkeypatch.setattr(mgrit_module, "MgritHierarchy", Kept)
+        counted = [ContiguousInputStepper(s) for s in steppers]
+        trajectory, record = mgrit_solve(counted, u0, tgrid, sgrid, options,
+                                         reference=serial.trajectory.values)
+        levels = hierarchies[0].levels
+        return (trajectory.values, record, [level.u for level in levels],
+                [level.g for level in levels],
+                [(s.calls, s.states) for s in counted])
+
+    values, record, u, g, counts = solve(MgritHierarchy)
+    ref_values, ref_record, ref_u, ref_g, ref_counts = solve(
+        FancyIndexHierarchy)
+    assert not record.diverged
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(record.errors, ref_record.errors)
+    assert np.array_equal(record.residuals, ref_record.residuals)
+    for level_u, level_ref_u in zip(u, ref_u):
+        assert np.array_equal(level_u, level_ref_u)
+    for level_g, level_ref_g in zip(g, ref_g):
+        assert np.array_equal(level_g, level_ref_g)
+    assert counts == ref_counts
 
 
 def test_residual_factors():

@@ -24,7 +24,8 @@ from mgritlab import (
     step_ssprk3,
 )
 from mgritlab.harness import build_steppers
-from mgritlab.stepper import _average, _difference, _periodic_pad
+from mgritlab.stepper import (BLOCK_CELLS, _average, _difference,
+                              _periodic_pad, lf_expansion)
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +286,59 @@ def test_matched_family_bitwise_equals_rolled_formulas(case):
     assert out.shape == u.shape
     assert np.array_equal(out, expected)
     # bitwise, signed zeros included
+    assert out.tobytes() == expected.tobytes()
+
+
+_BLOCKED_CELLS = 96  # under m_effective = 130: that padding wraps past the grid
+
+
+@st.composite
+def _blocked_cases(draw):
+    """A matched stepper on 96 cells and an input of 1, block - 1, block,
+    block + 1 or 2 block + 3 states, block being the states of BLOCK_CELLS
+    padded cells, with leading shape (), (k,) or (a, b); contiguous, or a
+    strided view along the cells or the leading states."""
+    order = draw(st.sampled_from([0, 1]))
+    m = draw(st.sampled_from([1, 2, 7, 64, 130]))
+    block = BLOCK_CELLS // (_BLOCKED_CELLS + 2 * m)
+    count = draw(st.sampled_from([1, block - 1, block, block + 1,
+                                  2 * block + 3]))
+    divisors = [d for d in range(1, count + 1) if count % d == 0]
+    leading = draw(st.sampled_from(
+        [(count,)] + [(a, count // a) for a in divisors]
+        + ([()] if count == 1 else [])))
+    layout = draw(st.sampled_from(["contiguous", "cells", "states"]))
+    if not leading and layout == "states":
+        layout = "cells"
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = leading + (1, _BLOCKED_CELLS)
+    if layout == "cells":
+        u = rng.uniform(-2.0, 2.0, size=leading + (1, 2 * _BLOCKED_CELLS))
+        u = u[..., ::2]
+    elif layout == "states":
+        u = rng.uniform(-2.0, 2.0, size=(2 * leading[0],) + shape[1:])
+        u = u[::2]
+    else:
+        u = rng.uniform(-2.0, 2.0, size=shape)
+    assert u.shape == shape
+    model, grid = make_model("burgers"), SpatialGrid(1.0, _BLOCKED_CELLS)
+    stepper = MatchedLFCoarse(model, grid, 0.2 / _BLOCKED_CELLS, m, order)
+    return stepper, u, count > block
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_blocked_cases())
+def test_blocked_advance_bitwise_equals_one_kernel_call(case):
+    stepper, u, blocked = case
+    out = stepper.advance(u)
+    step = stepper.dt if stepper.order == 0 else stepper.dt_fine
+    expected = lf_expansion(stepper.model, u, stepper.dx, step,
+                            stepper.m_effective, stepper.order)
+    assert out.shape == u.shape
+    # a batch of more than one block is written into one C-contiguous
+    # output; a batch that fits in one block is the kernel's own result,
+    # laid out cell-major by its periodic gather
+    assert out.flags.c_contiguous or not blocked
     assert out.tobytes() == expected.tobytes()
 
 
