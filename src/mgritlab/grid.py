@@ -91,11 +91,27 @@ def rel_l2_spacetime_error(candidate: np.ndarray, reference: np.ndarray) -> floa
     ||candidate - reference|| / ||reference|| with the plain Euclidean norm
     of the flattened arrays (uniform grids, so the cell/step weights cancel).
     """
+    _check_same_shape(candidate, reference)
+    return relative_error_to(reference)(candidate)
+
+
+def _check_same_shape(candidate, reference) -> None:
     if candidate.shape != reference.shape:
         raise DimensionError(
             f"shape mismatch {candidate.shape} vs {reference.shape}")
+
+
+def relative_error_to(reference: np.ndarray):
+    """candidate -> rel_l2_spacetime_error(candidate, reference), bit for
+    bit, with ||reference|| taken once for every candidate. Each difference
+    is a fresh array: a buffer kept between candidates would add its size
+    to a solve's peak memory."""
     ref_norm = l2_norm(reference)
     if ref_norm == 0.0:
         raise ValueError("reference trajectory has zero norm")
-    return l2_norm(candidate - reference) / ref_norm
 
+    def error(candidate: np.ndarray) -> float:
+        _check_same_shape(candidate, reference)
+        return l2_norm(candidate - reference) / ref_norm
+
+    return error

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import scratch
 from .errors import ConfigError, DimensionError, PhysicalStateError
 
 DEFAULT_GRAVITY = 9.81
@@ -48,7 +49,13 @@ def on_stack(evaluate, stack: np.ndarray):
 
 
 class ConservationModel:
-    """Common interface; subclasses fill in the physics."""
+    """Common interface; subclasses fill in the physics.
+
+    The public methods return arrays of their own. Each is a thin wrapper
+    that allocates them and calls a private `_*_into` method writing into
+    arrays it is given, which is also what the semi-discrete operator calls
+    with scratch buffers (see `scratch`).
+    """
 
     kind: str
     n_components: int
@@ -60,6 +67,10 @@ class ConservationModel:
                 f"got shape {u.shape}")
 
     def flux(self, u: np.ndarray) -> np.ndarray:
+        self._check_shape(u)
+        return self._flux_into(u, np.empty(u.shape))
+
+    def _flux_into(self, u, out):
         raise NotImplementedError
 
     def eigenvalues(self, u: np.ndarray) -> np.ndarray:
@@ -68,10 +79,21 @@ class ConservationModel:
 
     def max_abs_speed(self, u: np.ndarray) -> np.ndarray:
         """max_k |lambda_k| per cell, shape (..., N)."""
-        return np.max(np.abs(self.eigenvalues(u)), axis=-1)
+        self._check_shape(u)
+        return self._max_abs_speed_into(u, np.empty(u.shape[:-2]
+                                                    + u.shape[-1:]))
+
+    def _max_abs_speed_into(self, u, out):
+        raise NotImplementedError
 
     def eigen_cells(self, u: np.ndarray):
         """(values, right, left) per cell for characteristic projection."""
+        self._check_shape(u)
+        out = eigen_arrays(u.shape)
+        self._eigen_cells_into(u, *out)
+        return out
+
+    def _eigen_cells_into(self, u, values, right, left):
         raise NotImplementedError
 
     def roe_terms(self, sides: np.ndarray):
@@ -81,7 +103,25 @@ class ConservationModel:
         fluxes (2, ..., D, N) and eigenvalues (2, ..., N, D), and the
         eigenvalues and right and left eigenvector matrices of the Roe
         linearisation, (..., N, D) and (..., N, D, D)."""
+        self._check_shape(sides)
+        fluxes = np.empty(sides.shape)
+        values = np.empty(sides.shape[:-2] + sides.shape[:-3:-1])
+        eigen = eigen_arrays(sides.shape[1:])
+        self._roe_terms_into(sides, fluxes, values, *eigen)
+        return fluxes, values, eigen
+
+    def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
+                        left):
         raise NotImplementedError
+
+
+def eigen_arrays(shape: tuple):
+    """Empty (values, right, left) for states of shape (..., D, N): the
+    per-cell eigenvalues (..., N, D) and eigenvector matrices
+    (..., N, D, D)."""
+    values = np.empty(shape[:-2] + shape[:-3:-1])
+    return values, np.empty(values.shape + shape[-2:-1]), \
+        np.empty(values.shape + shape[-2:-1])
 
 
 class Burgers(ConservationModel):
@@ -91,28 +131,35 @@ class Burgers(ConservationModel):
     n_components = 1
 
     def flux(self, u):
+        # the formula itself: the matched Lax-Friedrichs kernel calls it on
+        # every Horner step, where a wrapper's extra calls would show
         self._check_shape(u)
         return 0.5 * u * u
+
+    def _flux_into(self, u, out):
+        out[...] = self.flux(u)
+        return out
 
     def eigenvalues(self, u):
         self._check_shape(u)
         return np.moveaxis(u, -2, -1)
 
-    def max_abs_speed(self, u):
-        self._check_shape(u)
-        return np.abs(u[..., 0, :])
+    def _max_abs_speed_into(self, u, out):
+        return np.abs(u[..., 0, :], out=out)
 
-    def eigen_cells(self, u):
-        self._check_shape(u)
-        lam = self.eigenvalues(u)
-        eye = np.ones(lam.shape + (1,))
-        return lam, eye, eye
+    def _eigen_cells_into(self, u, values, right, left):
+        values[...] = self.eigenvalues(u)
+        right.fill(1.0)
+        left.fill(1.0)
 
-    def roe_terms(self, sides):
-        values = self.eigenvalues(sides)
-        lam = 0.5 * (values[0] + values[1])
-        eye = np.ones(lam.shape + (1,))
-        return self.flux(sides), values, (lam, eye, eye)
+    def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
+                        left):
+        self._flux_into(sides, fluxes)
+        values[...] = self.eigenvalues(sides)
+        np.add(values[0], values[1], out=roe_values)
+        np.multiply(0.5, roe_values, out=roe_values)
+        right.fill(1.0)
+        left.fill(1.0)
 
 
 class ShallowWater(ConservationModel):
@@ -126,64 +173,90 @@ class ShallowWater(ConservationModel):
             raise ConfigError(f"gravity must be positive, got {gravity}")
         self.gravity = gravity
 
+    # The private methods keep their temporaries in this thread's scratch
+    # buffers (see `scratch`), each named after its role; a method's
+    # results may be buffers that the next call of the same method reuses.
+
     def _depth_velocity(self, u):
         h = u[..., 0, :]
         bad = h <= 0.0
         if bad.any():
             _reject("non-positive depth", bad)
-        return h, u[..., 1, :] / h
+        (vel,) = scratch.arrays(("sw.vel",), h.shape)
+        return h, np.divide(u[..., 1, :], h, out=vel)
 
-    def _flux_from(self, u, h, vel):
-        return np.stack([u[..., 1, :], h * vel * vel + 0.5 * self.gravity * h * h],
-                        axis=-2)
+    def _celerity(self, h):
+        """sqrt(g h), a buffer that the next call reuses."""
+        (c,) = scratch.arrays(("sw.c",), h.shape)
+        return np.sqrt(np.multiply(self.gravity, h, out=c), out=c)
+
+    def _flux_from(self, u, h, vel, out):
+        out[..., 0, :] = u[..., 1, :]
+        momentum = out[..., 1, :]
+        np.multiply(h, vel, out=momentum)
+        np.multiply(momentum, vel, out=momentum)
+        (pressure,) = scratch.arrays(("sw.pressure",), h.shape)
+        np.multiply(0.5 * self.gravity, h, out=pressure)
+        np.multiply(pressure, h, out=pressure)
+        np.add(momentum, pressure, out=momentum)
+        return out
 
     @staticmethod
-    def _values_from(vel, c):
-        return np.stack([vel - c, vel + c], axis=-1)
+    def _values_into(vel, c, out):
+        np.subtract(vel, c, out=out[..., 0])
+        np.add(vel, c, out=out[..., 1])
+        return out
 
-    def flux(self, u):
+    def _flux_into(self, u, out):
         self._check_shape(u)
-        return self._flux_from(u, *self._depth_velocity(u))
+        return self._flux_from(u, *self._depth_velocity(u), out)
 
     def eigenvalues(self, u):
         self._check_shape(u)
         h, vel = self._depth_velocity(u)
-        return self._values_from(vel, np.sqrt(self.gravity * h))
+        return self._values_into(vel, self._celerity(h),
+                                 np.empty(vel.shape + (2,)))
 
-    def max_abs_speed(self, u):
+    def _max_abs_speed_into(self, u, out):
         self._check_shape(u)
         h, vel = self._depth_velocity(u)
-        return np.abs(vel) + np.sqrt(self.gravity * h)
+        np.abs(vel, out=out)
+        return np.add(out, self._celerity(h), out=out)
 
-    def _eigen_from(self, vel, c):
-        lam = self._values_from(vel, c)
-        right = np.empty(vel.shape + (2, 2))
+    def _eigen_from(self, vel, c, lam, right, left):
+        self._values_into(vel, c, lam)
         right[..., 0, :] = 1.0
         right[..., 1, :] = lam
         # closed-form inverse of [[1, 1], [u-c, u+c]]
-        inv2c = 0.5 / c
-        left = np.empty_like(right)
-        left[..., 0, 0] = lam[..., 1] * inv2c
-        left[..., 0, 1] = -inv2c
-        left[..., 1, 0] = -lam[..., 0] * inv2c
+        (inv2c,) = scratch.arrays(("sw.inv2c",), c.shape)
+        np.divide(0.5, c, out=inv2c)
+        np.multiply(lam[..., 1], inv2c, out=left[..., 0, 0])
+        np.negative(inv2c, out=left[..., 0, 1])
+        np.negative(lam[..., 0], out=left[..., 1, 0])
+        np.multiply(left[..., 1, 0], inv2c, out=left[..., 1, 0])
         left[..., 1, 1] = inv2c
-        return lam, right, left
 
-    def eigen_cells(self, u):
+    def _eigen_cells_into(self, u, values, right, left):
         self._check_shape(u)
         h, vel = self._depth_velocity(u)
-        return self._eigen_from(vel, np.sqrt(self.gravity * h))
+        self._eigen_from(vel, self._celerity(h), values, right, left)
 
-    def roe_terms(self, sides):
+    def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
+                        left):
         self._check_shape(sides)
         h, vel = on_stack(self._depth_velocity, sides)
-        values = self._values_from(vel, np.sqrt(self.gravity * h))
-        root = np.sqrt(h)
-        weighted = root * vel
-        h_hat = 0.5 * (h[0] + h[1])
-        u_hat = (weighted[0] + weighted[1]) / (root[0] + root[1])
-        return (self._flux_from(sides, h, vel), values,
-                self._eigen_from(u_hat, np.sqrt(self.gravity * h_hat)))
+        self._values_into(vel, self._celerity(h), values)
+        root, weighted = scratch.arrays(("sw.root", "sw.weighted"), h.shape)
+        np.sqrt(h, out=root)
+        np.multiply(root, vel, out=weighted)
+        h_hat, u_hat, total = scratch.arrays(
+            ("sw.h_hat", "sw.u_hat", "sw.total"), h.shape[1:])
+        np.multiply(0.5, np.add(h[0], h[1], out=h_hat), out=h_hat)
+        np.add(weighted[0], weighted[1], out=u_hat)
+        np.divide(u_hat, np.add(root[0], root[1], out=total), out=u_hat)
+        self._flux_from(sides, h, vel, fluxes)
+        self._eigen_from(u_hat, self._celerity(h_hat), roe_values, right,
+                         left)
 
 
 class Euler(ConservationModel):
@@ -197,50 +270,70 @@ class Euler(ConservationModel):
             raise ConfigError(f"gamma must exceed 1, got {gamma}")
         self.gamma = gamma
 
+    # The private methods keep their temporaries in this thread's scratch
+    # buffers (see `scratch`), each named after its role; a method's
+    # results may be buffers that the next call of the same method reuses.
+
     def _primitives(self, u):
         rho = u[..., 0, :]
         bad = rho <= 0.0
         if bad.any():
             _reject("non-positive density", bad)
-        vel = u[..., 1, :] / rho
-        p = (self.gamma - 1.0) * (u[..., 2, :] - 0.5 * rho * vel * vel)
+        vel, p = scratch.arrays(("euler.vel", "euler.p"), rho.shape)
+        np.divide(u[..., 1, :], rho, out=vel)
+        # (gamma - 1) (E - 0.5 rho u u)
+        np.multiply(0.5, rho, out=p)
+        np.multiply(p, vel, out=p)
+        np.multiply(p, vel, out=p)
+        np.subtract(u[..., 2, :], p, out=p)
+        np.multiply(self.gamma - 1.0, p, out=p)
         bad = p <= 0.0
         if bad.any():
             _reject("non-positive pressure", bad)
         return rho, vel, p
 
     @staticmethod
-    def _flux_from(u, vel, p):
-        return np.stack([
-            u[..., 1, :],
-            u[..., 1, :] * vel + p,
-            (u[..., 2, :] + p) * vel,
-        ], axis=-2)
+    def _flux_from(u, vel, p, out):
+        out[..., 0, :] = u[..., 1, :]
+        np.multiply(u[..., 1, :], vel, out=out[..., 1, :])
+        np.add(out[..., 1, :], p, out=out[..., 1, :])
+        np.add(u[..., 2, :], p, out=out[..., 2, :])
+        np.multiply(out[..., 2, :], vel, out=out[..., 2, :])
+        return out
 
     def _sound_speed(self, rho, p):
-        return np.sqrt(self.gamma * p / rho)
+        """sqrt(gamma p / rho), a buffer that the next call reuses."""
+        (c,) = scratch.arrays(("euler.c",), p.shape)
+        np.multiply(self.gamma, p, out=c)
+        return np.sqrt(np.divide(c, rho, out=c), out=c)
 
     @staticmethod
-    def _values_from(vel, c):
-        return np.stack([vel - c, vel, vel + c], axis=-1)
+    def _values_into(vel, c, out):
+        np.subtract(vel, c, out=out[..., 0])
+        out[..., 1] = vel
+        np.add(vel, c, out=out[..., 2])
+        return out
 
-    def flux(self, u):
+    def _flux_into(self, u, out):
         self._check_shape(u)
         _, vel, p = self._primitives(u)
-        return self._flux_from(u, vel, p)
+        return self._flux_from(u, vel, p, out)
 
     def eigenvalues(self, u):
         self._check_shape(u)
         rho, vel, p = self._primitives(u)
-        return self._values_from(vel, self._sound_speed(rho, p))
+        return self._values_into(vel, self._sound_speed(rho, p),
+                                 np.empty(vel.shape + (3,)))
 
-    def max_abs_speed(self, u):
+    def _max_abs_speed_into(self, u, out):
         self._check_shape(u)
         rho, vel, p = self._primitives(u)
-        return np.abs(vel) + self._sound_speed(rho, p)
+        np.abs(vel, out=out)
+        return np.add(out, self._sound_speed(rho, p), out=out)
 
-    def _eigen_from(self, vel, c, enthalpy):
-        """Eigenvalues and right/left eigenvector matrices from u, c and H.
+    def _eigen_from(self, vel, c, enthalpy, lam, right, left):
+        """Eigenvalues and right/left eigenvector matrices from u, c and H,
+        written into lam, right and left.
 
         The left eigenvectors are the closed-form dual basis (Toro, Riemann
         Solvers and Numerical Methods for Fluid Dynamics): with
@@ -251,54 +344,79 @@ class Euler(ConservationModel):
         which needs c^2 = (gamma-1)(H - u^2/2); that holds for cell states
         and for the Roe average alike.
         """
-        lam = self._values_from(vel, c)
-        right = np.empty(vel.shape + (3, 3))
+        vel_c, inv_c, b1, b2, b1_vel, vel_inv_c = scratch.arrays(
+            ("euler.vel_c", "euler.inv_c", "euler.b1", "euler.b2",
+             "euler.b1_vel", "euler.vel_inv_c"), vel.shape)
+        self._values_into(vel, c, lam)
         right[..., 0, :] = 1.0
         right[..., 1, :] = lam
-        vel_c = vel * c
-        right[..., 2, 0] = enthalpy - vel_c
-        right[..., 2, 1] = 0.5 * vel * vel
-        right[..., 2, 2] = enthalpy + vel_c
-        inv_c = 1.0 / c
-        b1 = (self.gamma - 1.0) * inv_c * inv_c
-        b2 = 0.5 * b1 * vel * vel
-        b1_vel = b1 * vel
-        vel_inv_c = vel * inv_c
-        left = np.empty_like(right)
-        left[..., 0, 0] = 0.5 * (b2 + vel_inv_c)
-        left[..., 0, 1] = -0.5 * (b1_vel + inv_c)
-        left[..., 0, 2] = 0.5 * b1
-        left[..., 1, 0] = 1.0 - b2
+        np.multiply(vel, c, out=vel_c)
+        np.subtract(enthalpy, vel_c, out=right[..., 2, 0])
+        np.multiply(np.multiply(0.5, vel, out=b2), vel, out=right[..., 2, 1])
+        np.add(enthalpy, vel_c, out=right[..., 2, 2])
+        np.divide(1.0, c, out=inv_c)
+        np.multiply(self.gamma - 1.0, inv_c, out=b1)
+        np.multiply(b1, inv_c, out=b1)
+        np.multiply(0.5, b1, out=b2)
+        np.multiply(b2, vel, out=b2)
+        np.multiply(b2, vel, out=b2)
+        np.multiply(b1, vel, out=b1_vel)
+        np.multiply(vel, inv_c, out=vel_inv_c)
+        # each entry's sum, then its factor, in place
+        for row, column, combine, a, b, factor in (
+                (0, 0, np.add, b2, vel_inv_c, 0.5),
+                (0, 1, np.add, b1_vel, inv_c, -0.5),
+                (2, 0, np.subtract, b2, vel_inv_c, 0.5),
+                (2, 1, np.subtract, b1_vel, inv_c, -0.5)):
+            entry = left[..., row, column]
+            np.multiply(factor, combine(a, b, out=entry), out=entry)
+        np.multiply(0.5, b1, out=left[..., 0, 2])
+        np.subtract(1.0, b2, out=left[..., 1, 0])
         left[..., 1, 1] = b1_vel
-        left[..., 1, 2] = -b1
-        left[..., 2, 0] = 0.5 * (b2 - vel_inv_c)
-        left[..., 2, 1] = -0.5 * (b1_vel - inv_c)
-        left[..., 2, 2] = 0.5 * b1
-        return lam, right, left
+        np.negative(b1, out=left[..., 1, 2])
+        left[..., 2, 2] = left[..., 0, 2]
 
-    def eigen_cells(self, u):
+    def _eigen_cells_into(self, u, values, right, left):
         self._check_shape(u)
         rho, vel, p = self._primitives(u)
-        c = self._sound_speed(rho, p)
-        enthalpy = (u[..., 2, :] + p) / rho
-        return self._eigen_from(vel, c, enthalpy)
+        (enthalpy,) = scratch.arrays(("euler.enthalpy",), rho.shape)
+        np.divide(np.add(u[..., 2, :], p, out=enthalpy), rho, out=enthalpy)
+        self._eigen_from(vel, self._sound_speed(rho, p), enthalpy, values,
+                         right, left)
 
-    def roe_terms(self, sides):
+    def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
+                        left):
         self._check_shape(sides)
         rho, vel, p = on_stack(self._primitives, sides)
-        values = self._values_from(vel, self._sound_speed(rho, p))
-        root = np.sqrt(rho)
-        weighted_vel = root * vel
-        weighted_enthalpy = root * ((sides[..., 2, :] + p) / rho)
-        total = root[0] + root[1]
-        u_hat = (weighted_vel[0] + weighted_vel[1]) / total
-        h_hat = (weighted_enthalpy[0] + weighted_enthalpy[1]) / total
-        c_sq = (self.gamma - 1.0) * (h_hat - 0.5 * u_hat * u_hat)
-        bad = c_sq <= 0.0
+        self._values_into(vel, self._sound_speed(rho, p), values)
+        root, weighted_vel, weighted_enthalpy = scratch.arrays(
+            ("euler.root", "euler.weighted_vel", "euler.weighted_enthalpy"),
+            rho.shape)
+        np.sqrt(rho, out=root)
+        np.multiply(root, vel, out=weighted_vel)
+        # root ((E + p) / rho)
+        np.add(sides[..., 2, :], p, out=weighted_enthalpy)
+        np.divide(weighted_enthalpy, rho, out=weighted_enthalpy)
+        np.multiply(root, weighted_enthalpy, out=weighted_enthalpy)
+        total, u_hat, h_hat, c_hat = scratch.arrays(
+            ("euler.total", "euler.u_hat", "euler.h_hat", "euler.c_hat"),
+            rho.shape[1:])
+        np.add(root[0], root[1], out=total)
+        np.add(weighted_vel[0], weighted_vel[1], out=u_hat)
+        np.divide(u_hat, total, out=u_hat)
+        np.add(weighted_enthalpy[0], weighted_enthalpy[1], out=h_hat)
+        np.divide(h_hat, total, out=h_hat)
+        # c^2 = (gamma - 1) (h_hat - 0.5 u_hat u_hat)
+        np.multiply(0.5, u_hat, out=c_hat)
+        np.multiply(c_hat, u_hat, out=c_hat)
+        np.subtract(h_hat, c_hat, out=c_hat)
+        np.multiply(self.gamma - 1.0, c_hat, out=c_hat)
+        bad = c_hat <= 0.0
         if bad.any():
             _reject("Roe average loses hyperbolicity", bad)
-        return (self._flux_from(sides, vel, p), values,
-                self._eigen_from(u_hat, np.sqrt(c_sq), h_hat))
+        self._flux_from(sides, vel, p, fluxes)
+        self._eigen_from(u_hat, np.sqrt(c_hat, out=c_hat), h_hat, roe_values,
+                         right, left)
 
 
 _MODEL_KINDS = {

@@ -58,6 +58,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import scratch
 from .errors import ConfigError
 from .grid import SpatialGrid
 from .models import Burgers, ConservationModel
@@ -66,19 +67,49 @@ from .models import Burgers, ConservationModel
 RK_ORDERS = {"fe": 1, "ssprk2": 2, "ssprk3": 3}
 
 
+def _stage_layout(key):
+    shape, n_stages = key
+    return [("rk.term", shape)] + [(f"rk.stage{i}", shape)
+                                   for i in range(1, n_stages)]
+
+
+def _stages(u, n_stages: int):
+    """This thread's dt * rhs term and intermediate stages at u's shape."""
+    return scratch.buffers(_stage_layout, (np.shape(u), n_stages))
+
+
+# The steps write each stage into scratch buffers with the operand order of
+# the formulas in the module docstring, so `0.25 * dt * r` is
+# (0.25 * dt) * r and `u / 3.0` a division; rhs results are read, never
+# written. The returned array is fresh.
+
 def step_fe(rhs: Callable, u: np.ndarray, dt: float) -> np.ndarray:
-    return u + dt * rhs(u)
+    out = np.multiply(dt, rhs(u), out=np.empty(np.shape(u)))
+    return np.add(u, out, out=out)
 
 
 def step_ssprk2(rhs: Callable, u: np.ndarray, dt: float) -> np.ndarray:
-    u1 = u + dt * rhs(u)
-    return 0.5 * u + 0.5 * u1 + 0.5 * dt * rhs(u1)
+    term, u1 = _stages(u, 2)
+    np.multiply(dt, rhs(u), out=term)
+    np.add(u, term, out=u1)
+    np.multiply(0.5 * dt, rhs(u1), out=term)
+    out = np.multiply(0.5, u, out=np.empty(np.shape(u)))
+    np.add(out, np.multiply(0.5, u1, out=u1), out=out)
+    return np.add(out, term, out=out)
 
 
 def step_ssprk3(rhs: Callable, u: np.ndarray, dt: float) -> np.ndarray:
-    u1 = u + dt * rhs(u)
-    u2 = 0.75 * u + 0.25 * u1 + 0.25 * dt * rhs(u1)
-    return u / 3.0 + (2.0 / 3.0) * u2 + (2.0 / 3.0) * dt * rhs(u2)
+    term, u1, u2 = _stages(u, 3)
+    np.multiply(dt, rhs(u), out=term)
+    np.add(u, term, out=u1)
+    np.multiply(0.25 * dt, rhs(u1), out=term)
+    np.multiply(0.75, u, out=u2)
+    np.add(u2, np.multiply(0.25, u1, out=u1), out=u2)
+    np.add(u2, term, out=u2)
+    np.multiply((2.0 / 3.0) * dt, rhs(u2), out=term)
+    out = np.divide(u, 3.0, out=np.empty(np.shape(u)))
+    np.add(out, np.multiply(2.0 / 3.0, u2, out=u2), out=out)
+    return np.add(out, term, out=out)
 
 
 _RK_STEPS = {1: step_fe, 2: step_ssprk2, 3: step_ssprk3}

@@ -30,10 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
+from . import scratch
 from .errors import ConfigError, DimensionError
 
 DEFAULT_EPSILON = 1e-6
@@ -212,16 +213,33 @@ def _check_window(tables: WenoTables, window: np.ndarray) -> np.ndarray:
     return window
 
 
+def _rows_layout(key):
+    return (("weno.rows", key),)
+
+
+def _pair_layout(key):
+    k, m = key
+    pair = (2, k + 1, m)
+    return (("weno.diff0", (2 * k, m)), ("weno.diff1", (2 * k, m)),
+            ("weno.at", (k + 1,) + pair), ("weno.term", pair),
+            ("weno.beta", pair), ("weno.total", (2, m)))
+
+
 def _slot_major(tables: WenoTables, windows: np.ndarray) -> np.ndarray:
     """(W, M) copy: row t holds slot t of each of the M windows."""
-    return np.ascontiguousarray(windows.reshape(-1, tables.window).T)
+    windows = windows.reshape(-1, tables.window)
+    (rows,) = scratch.buffers(_rows_layout, windows.shape[::-1])
+    np.copyto(rows, windows.T)
+    return rows
 
 
 def _pair_terms(tables: WenoTables, rows: np.ndarray):
     """Candidate values and smoothness indicators of every stencil on both
     sides, each (2, k+1, M): [0, r] for stencil r of the window (toward
     its right interface), [1, r] for stencil r of the reversed window
-    (toward its left interface). rows is a (W, M) slot-major array.
+    (toward its left interface). rows is a (W, M) slot-major array. Both
+    are this thread's scratch buffers (see `scratch`), overwritten by the
+    next call.
 
     The reversed window's Delta^j at its stencil r is (-1)^j Delta^j at
     slot k - j + r of the window, exactly (a - b == -(b - a)), so side 1
@@ -235,21 +253,25 @@ def _pair_terms(tables: WenoTables, rows: np.ndarray):
     # its size and alignment, and CSVs are byte-identical across
     # parallelism degrees, which batch the states differently).
     k = tables.k
+    *differences_out, at, term, beta, _ = scratch.buffers(
+        _pair_layout, (k, rows.shape[-1]))
     # at[j][side, r] is Delta^j q at the first cell of stencil r of side
-    at = []
     differences = rows
     for j, stencil_rows in enumerate(tables.stencil_rows):
         if j:
-            differences = differences[1:] - differences[:-1]
-        at.append(differences[stencil_rows])
+            differences = np.subtract(
+                differences[1:], differences[:-1],
+                out=differences_out[j % 2][:len(differences) - 1])
+        np.take(differences, stencil_rows, axis=0, out=at[j], mode="clip")
     candidates = at[0]
     for e, delta in zip(tables.newton_candidates, at[1:]):
-        candidates += e * delta
-    beta = np.zeros_like(candidates)
+        candidates += np.multiply(e, delta, out=term)
+    beta.fill(0.0)
     for m in range(k):
         square = at[m + 1]  # forms after m read only at[m + 2:]
         for j in range(m + 1, k):
-            square += tables.newton_forms[m, j] * at[j + 1]
+            square += np.multiply(tables.newton_forms[m, j], at[j + 1],
+                                  out=term)
         square *= square
         square *= tables.newton_weights[m]
         beta += square
@@ -260,10 +282,11 @@ def _normalised_weights(tables: WenoTables, epsilon: float, beta):
     """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, M); overwrites beta."""
     if epsilon <= 0.0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    total = scratch.buffers(_pair_layout, (tables.k, beta.shape[-1]))[-1]
     beta += epsilon
     beta *= beta
     raw = np.divide(tables.weights[:, None], beta, out=beta)
-    total = raw[:, 0].copy()
+    np.copyto(total, raw[:, 0])
     for r in range(1, tables.k + 1):
         total += raw[:, r]
     raw /= total[:, None]
@@ -276,7 +299,7 @@ def nonlinear_weights(tables: WenoTables, epsilon: float,
     window = _check_window(tables, window)
     _, beta = _pair_terms(tables, _slot_major(tables, window))
     omega = _normalised_weights(tables, epsilon, beta)[0]  # the window's side
-    return omega.T.reshape(window.shape[:-1] + (tables.k + 1,))
+    return omega.T.reshape(window.shape[:-1] + (tables.k + 1,)).copy()
 
 
 # Windows per kernel block: the block's temporaries, a few dozen rows of
@@ -286,14 +309,9 @@ def nonlinear_weights(tables: WenoTables, epsilon: float,
 BLOCK_WINDOWS = 4096
 
 
-def reconstruct_pair(tables: WenoTables, epsilon: float,
-                     window: np.ndarray) -> np.ndarray:
-    """(2, ...) values of the windows centred on cells i: [0] just left of
-    x_{i+1/2}, [1] just right of x_{i-1/2} (the left value of the reversed
-    window)."""
-    window = _check_window(tables, window)
-    columns = window.reshape(-1, tables.window)
-    values = np.empty((2, len(columns)))
+def _reconstruct_pair_into(tables: WenoTables, epsilon: float,
+                           columns: np.ndarray, values: np.ndarray) -> None:
+    """reconstruct_pair of the (M, W) windows columns into (2, M) values."""
     for start in range(0, len(columns), BLOCK_WINDOWS):
         block = slice(start, start + BLOCK_WINDOWS)
         candidates, beta = _pair_terms(tables,
@@ -304,6 +322,17 @@ def reconstruct_pair(tables: WenoTables, epsilon: float,
         value[...] = omega[:, 0]
         for r in range(1, tables.k + 1):
             value += omega[:, r]
+
+
+def reconstruct_pair(tables: WenoTables, epsilon: float,
+                     window: np.ndarray) -> np.ndarray:
+    """(2, ...) values of the windows centred on cells i: [0] just left of
+    x_{i+1/2}, [1] just right of x_{i-1/2} (the left value of the reversed
+    window)."""
+    window = _check_window(tables, window)
+    columns = window.reshape(-1, tables.window)
+    values = np.empty((2, len(columns)))
+    _reconstruct_pair_into(tables, epsilon, columns, values)
     return values.reshape((2,) + window.shape[:-1])
 
 
@@ -322,15 +351,102 @@ def _window_indices(n_cells: int, k: int) -> np.ndarray:
     return index
 
 
-def _interface_sides(values: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _characteristic_indices(n_components: int, n_cells: int,
+                            k: int) -> np.ndarray:
+    """Gather index into a state's D * N flattened values: entry (i, d)
+    holds the window of cell i in component d."""
+    component = n_cells * np.arange(n_components)[:, None]
+    index = component + _window_indices(n_cells, k)[:, None, :]
+    index.setflags(write=False)
+    return index
+
+
+def _interface_sides(values: np.ndarray, sides: np.ndarray) -> None:
     """Contiguous (2, ..., D, N) sides from every cell's (2, ..., D, N)
     values: side 0 as it is, side 1 moved from cell i+1 to entry i along
     the periodic last axis."""
-    sides = np.empty(values.shape)
     sides[0] = values[0]
     sides[1, ..., :-1] = values[1, ..., 1:]
     sides[1, ..., -1] = values[1, ..., 0]
-    return sides
+
+
+def check_field(tables: WenoTables, field) -> np.ndarray:
+    """field as a float array, checked to be (..., D, N) with enough cells
+    for a window."""
+    field = np.asarray(field, float)
+    if field.ndim < 2:
+        raise DimensionError(f"field must be (..., D, N), got {field.shape}")
+    n_cells = field.shape[-1]
+    if n_cells < tables.window:
+        raise DimensionError(
+            f"{n_cells} cells cannot support a {tables.window}-cell window")
+    return field
+
+
+# The windows and values of a reconstruction take the "interface" buffer,
+# which the numerical flux takes for its terms once the sides are made.
+
+def _characteristic_layout(key):
+    shape, window = key
+    cells = shape[:-2] + shape[:-3:-1]  # (..., N, D)
+    return (("eigen.values", cells),
+            ("eigen.right", cells + shape[-2:-1]),
+            ("eigen.left", cells + shape[-2:-1]),
+            ("interface", cells + (window,)),
+            ("interface", cells + (window,)))
+
+
+def _component_layout(key):
+    shape, window = key
+    return (("interface", shape + (window,)),
+            ("interface", (2,) + shape))
+
+
+def _reuse(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """A view at shape of the start of a contiguous buffer whose contents
+    are no longer needed."""
+    return buffer.reshape(-1)[:prod(shape)].reshape(shape)
+
+
+def interface_states_into(model, field: np.ndarray, tables: WenoTables,
+                          epsilon: float, characteristic: bool,
+                          sides: np.ndarray) -> None:
+    """reconstruct_interface_states of a checked field (check_field) into
+    sides, with this thread's scratch buffers for every temporary."""
+    if tables.k == 0:
+        _interface_sides(np.broadcast_to(field, (2,) + field.shape), sides)
+        return
+    n_components, n_cells = field.shape[-2:]
+    key = (field.shape, tables.window)
+    if characteristic and n_components > 1:
+        (lam, right_vec, left_vec, windows,
+         projected) = scratch.buffers(_characteristic_layout, key)
+        model._eigen_cells_into(field, lam, right_vec, left_vec)
+        # cell-major windows (..., N, D, W), projected per cell to
+        # characteristic windows (..., N, C, W); the projection commutes
+        # with reversing a window, so cell j's value at x_{j-1/2} is in its
+        # own characteristic fields too. mode="clip" gathers into windows
+        # directly (the indices are all in range).
+        np.take(field.reshape(field.shape[:-2] + (-1,)),
+                _characteristic_indices(n_components, n_cells, tables.k),
+                axis=-1, out=windows, mode="clip")
+        np.matmul(left_vec, windows, out=projected)
+        pair = _reuse(windows, (2,) + lam.shape)
+        _reconstruct_pair_into(tables, epsilon,
+                               projected.reshape(-1, tables.window),
+                               pair.reshape(2, -1))
+        back = _reuse(projected, pair.shape + (1,))
+        np.matmul(right_vec, pair[..., None], out=back)
+        values = np.swapaxes(back[..., 0], -1, -2)
+    else:
+        windows, values = scratch.buffers(_component_layout, key)
+        np.take(field, _window_indices(n_cells, tables.k), axis=-1,
+                out=windows, mode="clip")
+        _reconstruct_pair_into(tables, epsilon,
+                               windows.reshape(-1, tables.window),
+                               values.reshape(2, -1))
+    _interface_sides(values, sides)
 
 
 def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
@@ -348,26 +464,8 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
     projected back. Degree 0 is the identity, so its sides are the field
     and its neighbour, without any projection.
     """
-    field = np.asarray(field, float)
-    if field.ndim < 2:
-        raise DimensionError(f"field must be (..., D, N), got {field.shape}")
-    n_cells = field.shape[-1]
-    if n_cells < tables.window:
-        raise DimensionError(
-            f"{n_cells} cells cannot support a {tables.window}-cell window")
-    if tables.k == 0:
-        return _interface_sides(np.broadcast_to(field, (2,) + field.shape))
-    index = _window_indices(n_cells, tables.k)
-    if characteristic and field.shape[-2] > 1:
-        _, right_vec, left_vec = model.eigen_cells(field)  # (..., N, D, D)
-        # cell-major windows (..., N, D, W), projected per cell to
-        # characteristic windows (..., N, C, W); the projection commutes
-        # with reversing a window, so cell j's value at x_{j-1/2} is in its
-        # own characteristic fields too
-        component = np.arange(field.shape[-2])[:, None]
-        windows = left_vec @ field[..., component, index[:, None, :]]
-        pair = reconstruct_pair(tables, epsilon, windows)
-        values = np.swapaxes((right_vec @ pair[..., None])[..., 0], -1, -2)
-    else:
-        values = reconstruct_pair(tables, epsilon, field[..., index])
-    return _interface_sides(values)
+    field = check_field(tables, field)
+    sides = np.empty((2,) + field.shape)
+    interface_states_into(model, field, tables, epsilon, characteristic,
+                          sides)
+    return sides

@@ -15,6 +15,7 @@ from mgritlab import (
     make_model,
     roe_flux,
 )
+from mgritlab.models import eigen_arrays
 
 
 def _scalar(u):
@@ -214,9 +215,11 @@ def _roe_average(model, ul, ur):
     vl, vr = ul[..., 1, :] / rl, ur[..., 1, :] / rr
     sl, sr = np.sqrt(rl), np.sqrt(rr)
     u_hat = (sl * vl + sr * vr) / (sl + sr)
+    eigen = eigen_arrays(ul.shape)
     if model.kind == "shallow-water":
-        return model._eigen_from(u_hat, np.sqrt(model.gravity
-                                                * (0.5 * (rl + rr))))
+        model._eigen_from(u_hat, np.sqrt(model.gravity * (0.5 * (rl + rr))),
+                          *eigen)
+        return eigen
     gamma = model.gamma
     pl = (gamma - 1.0) * (ul[..., 2, :] - 0.5 * rl * vl * vl)
     pr = (gamma - 1.0) * (ur[..., 2, :] - 0.5 * rr * vr * vr)
@@ -224,7 +227,8 @@ def _roe_average(model, ul, ur):
     hr = (ur[..., 2, :] + pr) / rr
     h_hat = (sl * hl + sr * hr) / (sl + sr)
     c_sq = (gamma - 1.0) * (h_hat - 0.5 * u_hat * u_hat)
-    return model._eigen_from(u_hat, np.sqrt(c_sq), h_hat)
+    model._eigen_from(u_hat, np.sqrt(c_sq), h_hat, *eigen)
+    return eigen
 
 
 @pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])

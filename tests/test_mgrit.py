@@ -256,6 +256,10 @@ class FancyIndexHierarchy(MgritHierarchy):
     def residual_norm(self):
         level = self.levels[0]
         if not self._f_current[0]:
+            first = level.u[0].tobytes()
+            if all(row.tobytes() == first for row in level.u[:-1]):
+                predicted = level.stepper.advance(level.u[0])
+                return l2_norm(level.g[1:] + predicted - level.u[1:])
             return full_residual_norm(level)
         mi = self._c_points(0)
         phi0 = np.empty((len(mi),) + level.u.shape[1:])
@@ -486,13 +490,14 @@ def _solve_states(n_iters, **kwargs):
 def test_states_advanced_v_cycle_f_relaxation():
     # n = 16 fine steps, m = 2, 3 levels. One full V-cycle advances
     # f0 8 + restrict0 16 + f1 4 + restrict1 8 + coarse 4 + f1 4 + f0 8 = 52.
-    # Row 0's residual advances all 16 states, later ones only the 8 C-point
-    # neighbours; every cycle after the first skips its opening f0 (8) and
-    # takes restrict0's fine half (8) from the residual's batch.
+    # Row 0's residual advances one state for the 16 equal rows of the
+    # initial iterate, later ones only the 8 C-point neighbours; every cycle
+    # after the first skips its opening f0 (8) and takes restrict0's fine
+    # half (8) from the residual's batch.
     first, steady = 52 + 8, 52 - 8 - 8 + 8
     assert steady == (52 + 16) - 24  # 24 fewer than re-advancing everything
     for n_iters in range(1, 5):
-        assert _solve_states(n_iters) == 16 + first + (n_iters - 1) * steady
+        assert _solve_states(n_iters) == 1 + first + (n_iters - 1) * steady
     assert _solve_states(5) - _solve_states(4) == steady == 44
 
 
@@ -500,15 +505,16 @@ def test_states_advanced_f_cycle_fcf_relaxation():
     # relax0 24 + restrict0 16 + relax1 12 + restrict1 8 + coarse 4
     # + interp1 4 + V-cycle at level 1 (relax1 without its opening F-relax,
     # which interp1 just did: 8, restrict1 8, coarse 4, interp1 4)
-    # + interp0 8 = 100, against 104 with the repeated F-relaxation. Later
-    # cycles skip relax0's opening f0 (8) and take its C-relaxation (8)
-    # from the residual's batch.
+    # + interp0 8 = 100, against 104 with the repeated F-relaxation. Row 0's
+    # residual advances one state for the initial iterate. Later cycles skip
+    # relax0's opening f0 (8) and take its C-relaxation (8) from the
+    # residual's batch.
     kwargs = dict(cycle="f", relaxation="fcf", guess="injection")
     first, steady = 100 + 8, 100 - 8 - 8 + 8
     assert steady == (104 + 16) - 28
     for n_iters in range(1, 5):
         assert (_solve_states(n_iters, **kwargs)
-                == 16 + first + (n_iters - 1) * steady)
+                == 1 + first + (n_iters - 1) * steady)
     assert _solve_states(5, **kwargs) - _solve_states(4, **kwargs) == 92
 
 
@@ -579,9 +585,21 @@ def test_residual_batch_is_reused_until_level_0_changes():
 
 
 def test_unrelaxed_residual_advances_the_whole_level():
+    # the initial iterate repeats u^0 in every row: one step stands in
     h = _counted_toy_hierarchy([0.9, 0.8], n_steps=16)
-    h.residual_norm()
-    assert _states(h)[0] == 16
+    broadcast = h.residual_norm()
+    assert _states(h)[0] == 1
+    assert broadcast == full_residual_norm(h.levels[0])
+    # rows of u[:-1] that differ, in value or only in bits, take the whole
+    # level; the last row is not advanced, so it does not count
+    for row, value, states in ((5, 2.0, 16), (3, -0.0, 16), (16, 2.0, 1)):
+        h = _counted_toy_hierarchy([0.9, 0.8], n_steps=16)
+        if value == 0.0:
+            h.levels[0].u[:] = 0.0
+        h.levels[0].u[row] = value
+        norm = h.residual_norm()
+        assert _states(h)[0] == states, row
+        assert norm == full_residual_norm(h.levels[0]), row
 
 
 @settings(max_examples=30, deadline=None)

@@ -36,7 +36,8 @@ def smoothness_indicators(tables, window):
     window = np.asarray(window, float)
     rows = np.ascontiguousarray(window.reshape(-1, tables.window).T)
     _, beta = _pair_terms(tables, rows)
-    return beta[0].T.reshape(window.shape[:-1] + (tables.k + 1,))
+    # a copy: beta is a scratch buffer that the next call overwrites
+    return beta[0].T.reshape(window.shape[:-1] + (tables.k + 1,)).copy()
 
 
 # ----------------------------------------------------------------------
