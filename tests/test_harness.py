@@ -1,4 +1,5 @@
 """Config parsing, experiment driving, table/CSV output, and the CLI."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -159,6 +160,122 @@ def test_parse_sweep_keys_must_pair():
         parse_config(MINIMAL + "\nsweep = n_t\n")
     with pytest.raises(ParseError):
         parse_config(MINIMAL + "\nsweep_values = 8, 16\n")
+
+
+# Every config key once: a good spelling (aliases included) with its parsed
+# value, and for each typed key a bad value with the exact error text.
+
+_KEY_LINES = {"problem": "problem = burgers", "ic": "ic = sin-stationary",
+              "horizon": "horizon = 0.475", "n_x": "n_x = 16",
+              "n_t": "n_t = 8", "n_levels": "n_levels = 2"}
+
+GOOD_KEY_TEXTS = {
+    "problem": ({"problem": "problem = euler",
+                 "ic": "ic = euler-energy-sin"}, "euler"),
+    "ic": ({"ic": "ic = sin-moving"}, "sin-moving"),
+    "horizon": ({"horizon": "T = 0.5"}, 0.5),
+    "n_x": ({"n_x": "N_x = 32"}, 32),
+    "n_t": ({"n_t": "N_t = 16"}, 16),
+    "n_levels": ({"n_levels": "n_levels = 3"}, 3),
+    "length": ({"length": "L = 2.0"}, 2.0),
+    "m": ({"m": "m = 4"}, 4),
+    "cycle": ({"cycle": "cycle = f"}, "f"),
+    "relaxation": ({"relaxation": "relaxation = fcf"}, "fcf"),
+    "restriction_guess": ({"restriction_guess":
+                           "restriction_guess = injection"}, "injection"),
+    "max_iters": ({"max_iters": "max_iters = 3"}, 3),
+    "flux": ({"flux": "flux = roe"}, "roe"),
+    "weno_order": ({"weno_order": "weno_order = 3/1"}, (3, 1)),
+    "stepper": ({"stepper": "stepper = ssprk3 / fe"}, ("ssprk3", "fe")),
+    "coarse": ({"coarse": "coarse = exact"}, "exact"),
+    "characteristic": ({"characteristic": "characteristic = off"}, False),
+    "epsilon": ({"epsilon": "epsilon = 1e-8"}, 1e-8),
+    "gamma": ({"gamma": "gamma = 1.4"}, 1.4),
+    "gravity": ({"gravity": "gravity = 1.0"}, 1.0),
+    "divergence_threshold": ({"divergence_threshold":
+                              "divergence_threshold = 1e6"}, 1e6),
+    "parallelism": ({"parallelism": "parallelism = 2"}, 2),
+    "sweep": ({"sweep": "sweep = N_t",
+               "sweep_values": "sweep_values = 8, 16"}, "n_t"),
+    "sweep_values": ({"sweep": "sweep = n_x",
+                      "sweep_values": "sweep_values = 16 ,32"},
+                     ("16", "32")),
+}
+
+BAD_KEY_TEXTS = [
+    ("horizon", "T = soon", "could not convert string to float: 'soon'"),
+    ("n_x", "N_x = 3.5", "invalid literal for int() with base 10: '3.5'"),
+    ("n_t", "N_t = 8x", "invalid literal for int() with base 10: '8x'"),
+    ("n_levels", "n_levels = two",
+     "invalid literal for int() with base 10: 'two'"),
+    ("length", "L = one", "could not convert string to float: 'one'"),
+    ("m", "m = 2.0", "invalid literal for int() with base 10: '2.0'"),
+    ("max_iters", "max_iters = ten",
+     "invalid literal for int() with base 10: 'ten'"),
+    ("weno_order", "weno_order = 3/x",
+     "invalid literal for int() with base 10: 'x'"),
+    ("characteristic", "characteristic = maybe", "not a boolean: 'maybe'"),
+    ("epsilon", "epsilon = tiny", "could not convert string to float: 'tiny'"),
+    ("gamma", "gamma = 7/5", "could not convert string to float: '7/5'"),
+    ("gravity", "gravity = g", "could not convert string to float: 'g'"),
+    ("divergence_threshold", "divergence_threshold = 1e6e",
+     "could not convert string to float: '1e6e'"),
+    ("parallelism", "parallelism = 1.0",
+     "invalid literal for int() with base 10: '1.0'"),
+]
+
+
+def _key_lines(lines: dict) -> dict:
+    """The minimal config's lines by key, overridden or extended."""
+    return {**_KEY_LINES, **lines}
+
+
+def test_key_texts_cover_every_config_key():
+    keys = [field.name for field in dataclasses.fields(ExperimentConfig)]
+    assert sorted(GOOD_KEY_TEXTS) == sorted(keys)
+    # a text fails to parse unless the value is a string or strings
+    typed = [key for key, (_, value) in GOOD_KEY_TEXTS.items()
+             if not isinstance(value[0] if isinstance(value, tuple)
+                               else value, str)]
+    assert sorted(key for key, _, _ in BAD_KEY_TEXTS) == sorted(typed)
+
+
+@pytest.mark.parametrize("key", sorted(GOOD_KEY_TEXTS))
+def test_parse_good_key_text(key):
+    lines, expected = GOOD_KEY_TEXTS[key]
+    config = parse_config("\n".join(_key_lines(lines).values()) + "\n")
+    assert getattr(config, key) == expected
+    assert type(getattr(config, key)) is type(expected)
+
+
+@pytest.mark.parametrize("key,line,detail", BAD_KEY_TEXTS,
+                         ids=[key for key, _, _ in BAD_KEY_TEXTS])
+def test_parse_bad_key_text_names_value_line_and_key(key, line, detail):
+    lines = _key_lines({key: line})
+    lineno = list(lines).index(key) + 1
+    raw = line.partition("=")[2].strip()
+    with pytest.raises(ParseError) as info:
+        parse_config("\n".join(lines.values()) + "\n")
+    assert (info.value.line, info.value.key) == (lineno, key)
+    assert str(info.value) == \
+        f"bad value '{raw}': {detail} (line {lineno}, key '{key}')"
+
+
+@pytest.mark.parametrize("key,raw,message", [
+    ("n_t", "seven", "bad sweep value 'seven' for 'n_t': invalid literal "
+                     "for int() with base 10: 'seven'"),
+    ("epsilon", "tiny", "bad sweep value 'tiny' for 'epsilon': could not "
+                        "convert string to float: 'tiny'"),
+    ("characteristic", "maybe", "bad sweep value 'maybe' for "
+                                "'characteristic': not a boolean: 'maybe'"),
+    ("weno_order", "3/x", "bad sweep value '3/x' for 'weno_order': invalid "
+                          "literal for int() with base 10: 'x'"),
+    ("grid", "128", "bad grid value '128', expected '<n_x>x<n_t>'"),
+])
+def test_bad_sweep_value_message(key, raw, message):
+    with pytest.raises(ConfigError) as info:
+        apply_sweep_value(_config(), key, raw)
+    assert str(info.value) == message
 
 
 def test_parse_rejects_indivisible_time_grid():
