@@ -9,8 +9,8 @@ harness that writes convergence tables as CSV.
 
 from .errors import (ConfigError, DimensionError, ParseError,
                      PhysicalStateError)
-from .flux import (FluxConfig, SemiDiscreteOperator, WenoConfig, entropy_fix,
-                   lf_alpha, lf_flux, roe_flux)
+from .flux import (FluxConfig, SemiDiscreteOperator, WenoConfig, lf_alpha,
+                   lf_flux, roe_flux)
 from .grid import (SpatialGrid, TemporalGrid, Trajectory,
                    rel_l2_spacetime_error)
 from .harness import (INITIAL_CONDITIONS, ConvergenceTable, ExperimentConfig,

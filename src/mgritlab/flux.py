@@ -110,8 +110,13 @@ def lf_flux(model: ConservationModel, sides: np.ndarray,
 
 def _entropy_fix_into(lam_hat, lam_left, lam_right, out, delta, lifted,
                       fix) -> np.ndarray:
-    """entropy_fix into out, with delta, lifted and the bool fix as work
-    arrays of out's shape."""
+    """Harten-Hyman dissipation speed into out, with delta, lifted and the
+    bool fix as work arrays of out's shape.
+
+    delta = max{0, lam_hat - lam_left, lam_right - lam_hat}; inside the
+    sonic band |lam_hat| < delta the speed is lifted to
+    1/2 (lam_hat^2/delta + delta), otherwise it is |lam_hat|.
+    """
     np.subtract(lam_hat, lam_left, out=delta)
     np.subtract(lam_right, lam_hat, out=lifted)
     np.maximum(delta, lifted, out=delta)
@@ -125,22 +130,6 @@ def _entropy_fix_into(lam_hat, lam_left, lam_right, out, delta, lifted,
         np.add(lifted, delta, out=lifted, where=fix)
         np.multiply(0.5, lifted, out=out, where=fix)
     return out
-
-
-def entropy_fix(lam_hat, lam_left, lam_right):
-    """Harten-Hyman dissipation speed.
-
-    delta = max{0, lam_hat - lam_left, lam_right - lam_hat}; inside the
-    sonic band |lam_hat| < delta the speed is lifted to
-    1/2 (lam_hat^2/delta + delta), otherwise it is |lam_hat|.
-    """
-    lam_hat = np.asarray(lam_hat, float)
-    shape = np.broadcast_shapes(lam_hat.shape, np.shape(lam_left),
-                                np.shape(lam_right))
-    out = _entropy_fix_into(lam_hat, lam_left, lam_right, np.empty(shape),
-                            np.empty(shape), np.empty(shape),
-                            np.empty(shape, bool))
-    return float(out) if lam_hat.ndim == 0 else out
 
 
 def _roe_layout(shape):
@@ -227,12 +216,6 @@ class SemiDiscreteOperator:
             return _lf_flux_into(self.model, sides,
                                  lf_alpha(self.model, sides), out)
         return _roe_flux_into(self.model, sides, out)
-
-    def interface_flux(self, field: np.ndarray) -> np.ndarray:
-        field = check_field(self.tables, field)
-        return self._interface_flux_into(field,
-                                         np.empty((2,) + field.shape),
-                                         np.empty(field.shape))
 
     def rhs(self, field: np.ndarray) -> np.ndarray:
         field = check_field(self.tables, field)

@@ -118,14 +118,6 @@ class ExperimentConfig:
     sweep_values: tuple = ()
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "on", "1"):
@@ -135,49 +127,27 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: '{raw}'")
 
 
-def _parse_order_list(raw: str) -> tuple:
-    return tuple(int(part, 10) for part in raw.split("/"))
-
-
-def _parse_stepper_list(raw: str) -> tuple:
-    return tuple(part.strip() for part in raw.split("/"))
-
-
-def _parse_str(raw: str) -> str:
-    return raw
-
-
-_KEY_PARSERS = {
-    "problem": _parse_str,
-    "ic": _parse_str,
-    "length": _parse_float,
-    "horizon": _parse_float,
-    "n_x": _parse_int,
-    "n_t": _parse_int,
-    "n_levels": _parse_int,
-    "m": _parse_int,
-    "cycle": _parse_str,
-    "relaxation": _parse_str,
-    "restriction_guess": _parse_str,
-    "max_iters": _parse_int,
-    "flux": _parse_str,
-    "weno_order": _parse_order_list,
-    "stepper": _parse_stepper_list,
-    "coarse": _parse_str,
-    "characteristic": _parse_bool,
-    "epsilon": _parse_float,
-    "gamma": _parse_float,
-    "gravity": _parse_float,
-    "divergence_threshold": _parse_float,
-    "parallelism": _parse_int,
-    "sweep": _parse_str,
-    "sweep_values": None,  # handled separately (comma list)
-}
-
-_REQUIRED_KEYS = ("problem", "ic", "horizon", "n_x", "n_t", "n_levels")
-
 # short upper-case spellings accepted as synonyms in config files
 _KEY_ALIASES = {"N_x": "n_x", "N_t": "n_t", "L": "length", "T": "horizon"}
+
+
+def _field_parser(field: dataclasses.Field):
+    """The value parser of one config key, read off its field's annotation;
+    a tuple is a per-level '/'-list of its default's element type."""
+    if field.name == "sweep":
+        return lambda raw: _KEY_ALIASES.get(raw, raw)
+    if field.name == "sweep_values":
+        return lambda raw: tuple(part.strip() for part in raw.split(","))
+    if field.type == "tuple":
+        element = field.default[0]
+        parse = str.strip if isinstance(element, str) else type(element)
+        return lambda raw: tuple(parse(part) for part in raw.split("/"))
+    return {"bool": _parse_bool, "int": int, "float": float,
+            "str": str}[field.type]
+
+
+_KEY_PARSERS = {field.name: _field_parser(field)
+                for field in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -198,20 +168,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ParseError(f"duplicate key '{key}'", line=lineno, key=key)
         if not raw:
             raise ParseError("empty value", line=lineno, key=key)
-        if key == "sweep_values":
-            values[key] = tuple(part.strip() for part in raw.split(","))
-            continue
-        if key == "sweep":
-            values[key] = _KEY_ALIASES.get(raw, raw)
-            continue
         try:
             values[key] = _KEY_PARSERS[key](raw)
         except ValueError as exc:
             raise ParseError(f"bad value '{raw}': {exc}", line=lineno,
                              key=key) from None
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise ParseError(f"missing required key '{key}'", key=key)
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.default is dataclasses.MISSING and field.name not in values:
+            raise ParseError(f"missing required key '{field.name}'",
+                             key=field.name)
     if ("sweep" in values) != ("sweep_values" in values):
         raise ParseError("sweep and sweep_values must appear together",
                          key="sweep")

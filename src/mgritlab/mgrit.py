@@ -12,9 +12,10 @@ between consecutive coarse nodes from the coarse node on their left;
 C-relaxation recomputes each coarse node from its left neighbour. Chunks
 never read what another chunk writes, so they advance as one batched
 operation, and a parallelism degree only slices that batch across worker
-threads; results are bitwise identical for any degree. A sweep reads and
-writes every m-th node through strided views of the level's arrays and
-hands each stepper a contiguous copy of the states it advances.
+threads, at most one per core; results are bitwise identical for any
+degree. A sweep reads and writes every m-th node through strided views of
+the level's arrays and hands each stepper a contiguous copy of the states
+it advances.
 
 Coarsening is a full-approximation-scheme restriction: with i the coarse
 node index and mi its fine counterpart,
@@ -48,6 +49,7 @@ stay bitwise equal to always re-advancing, at any parallelism.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -128,10 +130,6 @@ class ConvergenceRecord:
     divergence_cause: str | None = None
 
     @property
-    def n_iterations(self) -> int:
-        return max(0, len(self.errors) - 1)
-
-    @property
     def residual_factors(self) -> np.ndarray:
         """Convergence factors ||r_k|| / ||r_{k-1}|| per row: NaN in row 0
         and wherever either norm is not finite or ||r_{k-1}|| is zero."""
@@ -199,10 +197,17 @@ class MgritHierarchy:
     # -- parallel plumbing ------------------------------------------------
 
     def _apply(self, work, n_items: int) -> None:
-        """Run work(slice) over n_items, split across worker threads."""
+        """Run work(slice) over n_items, split across worker threads; a
+        physical-state error names its batch position within n_items."""
         def guarded(sl):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                work(sl)
+                try:
+                    work(sl)
+                except PhysicalStateError as err:
+                    if len(err.index) < 2 or sl.start == 0:
+                        raise
+                    index = (err.index[0] + sl.start,) + err.index[1:]
+                    raise PhysicalStateError(err.problem, index) from None
 
         if self._executor is None or n_items < 2:
             guarded(slice(0, n_items))
@@ -410,7 +415,9 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
     executor = None
     try:
         if options.parallelism > 1:
-            executor = ThreadPoolExecutor(max_workers=options.parallelism)
+            # slices follow parallelism, threads stop at the core count
+            executor = ThreadPoolExecutor(
+                max_workers=min(options.parallelism, os.cpu_count() or 1))
             hierarchy._executor = executor
         for it in range(1, n_rows):
             try:

@@ -73,10 +73,6 @@ class ConservationModel:
     def _flux_into(self, u, out):
         raise NotImplementedError
 
-    def eigenvalues(self, u: np.ndarray) -> np.ndarray:
-        """Flux-Jacobian eigenvalues per cell, shape (..., N, D), ascending."""
-        raise NotImplementedError
-
     def max_abs_speed(self, u: np.ndarray) -> np.ndarray:
         """max_k |lambda_k| per cell, shape (..., N)."""
         self._check_shape(u)
@@ -140,22 +136,18 @@ class Burgers(ConservationModel):
         out[...] = self.flux(u)
         return out
 
-    def eigenvalues(self, u):
-        self._check_shape(u)
-        return np.moveaxis(u, -2, -1)
-
     def _max_abs_speed_into(self, u, out):
         return np.abs(u[..., 0, :], out=out)
 
     def _eigen_cells_into(self, u, values, right, left):
-        values[...] = self.eigenvalues(u)
+        values[...] = np.moveaxis(u, -2, -1)
         right.fill(1.0)
         left.fill(1.0)
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
         self._flux_into(sides, fluxes)
-        values[...] = self.eigenvalues(sides)
+        values[...] = np.moveaxis(sides, -2, -1)
         np.add(values[0], values[1], out=roe_values)
         np.multiply(0.5, roe_values, out=roe_values)
         right.fill(1.0)
@@ -210,12 +202,6 @@ class ShallowWater(ConservationModel):
     def _flux_into(self, u, out):
         self._check_shape(u)
         return self._flux_from(u, *self._depth_velocity(u), out)
-
-    def eigenvalues(self, u):
-        self._check_shape(u)
-        h, vel = self._depth_velocity(u)
-        return self._values_into(vel, self._celerity(h),
-                                 np.empty(vel.shape + (2,)))
 
     def _max_abs_speed_into(self, u, out):
         self._check_shape(u)
@@ -318,12 +304,6 @@ class Euler(ConservationModel):
         self._check_shape(u)
         _, vel, p = self._primitives(u)
         return self._flux_from(u, vel, p, out)
-
-    def eigenvalues(self, u):
-        self._check_shape(u)
-        rho, vel, p = self._primitives(u)
-        return self._values_into(vel, self._sound_speed(rho, p),
-                                 np.empty(vel.shape + (3,)))
 
     def _max_abs_speed_into(self, u, out):
         self._check_shape(u)

@@ -136,21 +136,18 @@ class WenoTables:
     """Reconstruction tables for one polynomial degree.
 
     exact_* fields hold the rational values, and weights the closest
-    doubles of the optimal weights. The candidate and smoothness forms are
-    the tables in the Newton basis (see the module docstring): per stencil
-    r, the candidate's (e_1, ..., e_k) and
-    ((D_m, (l_(m+1), ..., l_(k-1))), ...) for its smoothness. The newton_*
-    arrays lay them out for the kernel: a side axis (0 for the left value,
-    1 for the mirrored right value, signed as _pair_terms explains),
-    stencils along axis -2 and a trailing axis to broadcast over windows.
+    doubles of the optimal weights. The newton_* arrays hold the tables in
+    the Newton basis (see the module docstring), as _newton_candidate and
+    _newton_sum_of_squares give them per stencil, laid out for the kernel:
+    a side axis (0 for the left value, 1 for the mirrored right value,
+    signed as _pair_terms explains), stencils along axis -2 and a trailing
+    axis to broadcast over windows.
     """
 
     k: int
     exact_coeffs: tuple
     exact_weights: tuple
     exact_smoothness: tuple
-    exact_candidate_forms: tuple
-    exact_smoothness_forms: tuple
     weights: np.ndarray             # (k+1,)
     newton_candidates: np.ndarray   # (k, 2, k+1, 1): e_j of stencil r
     newton_forms: np.ndarray        # (k, k, 2, k+1, 1): l_j of form m, j > m
@@ -197,9 +194,7 @@ def build_tables(k: int) -> WenoTables:
     for table in (cand, forms, form_weights) + rows:
         table.setflags(write=False)
     return WenoTables(k=k, exact_coeffs=exact_c, exact_weights=exact_d,
-                      exact_smoothness=exact_b,
-                      exact_candidate_forms=exact_cand,
-                      exact_smoothness_forms=exact_forms, weights=weights,
+                      exact_smoothness=exact_b, weights=weights,
                       newton_candidates=cand, newton_forms=forms,
                       newton_weights=form_weights, stencil_rows=rows)
 

@@ -9,12 +9,12 @@ from mgritlab import (
     SemiDiscreteOperator,
     SpatialGrid,
     WenoConfig,
-    entropy_fix,
     lf_alpha,
     lf_flux,
     make_model,
     roe_flux,
 )
+from mgritlab.flux import _entropy_fix_into
 from mgritlab.models import eigen_arrays
 
 
@@ -100,6 +100,15 @@ def test_lf_flux_hand_value():
 # ----------------------------------------------------------------------
 # entropy fix
 # ----------------------------------------------------------------------
+
+def entropy_fix(lam_hat, lam_left, lam_right):
+    """The Roe flux's entropy fix, into arrays of the operands' shape."""
+    shape = np.broadcast_shapes(np.shape(lam_hat), np.shape(lam_left),
+                                np.shape(lam_right))
+    return _entropy_fix_into(np.asarray(lam_hat, float), lam_left, lam_right,
+                             np.empty(shape), np.empty(shape),
+                             np.empty(shape), np.empty(shape, bool))
+
 
 def test_entropy_fix_outside_sonic_band():
     assert entropy_fix(3.0, 2.5, 3.5) == 3.0
@@ -208,7 +217,7 @@ def _roe_average(model, ul, ur):
     """(values, right, left) of the Roe linearisation, from separate
     evaluations of the left and right states."""
     if model.kind == "burgers":
-        lam = 0.5 * (model.eigenvalues(ul) + model.eigenvalues(ur))
+        lam = 0.5 * (model.eigen_cells(ul)[0] + model.eigen_cells(ur)[0])
         eye = np.ones(lam.shape + (1,))
         return lam, eye, eye
     rl, rr = ul[..., 0, :], ur[..., 0, :]
@@ -241,8 +250,8 @@ def test_roe_terms_bitwise_equal_separate_side_calls(kind, batch):
     fluxes, values, eigen = model.roe_terms(_sides(ul, ur))
     assert np.array_equal(fluxes[0], model.flux(ul))
     assert np.array_equal(fluxes[1], model.flux(ur))
-    assert np.array_equal(values[0], model.eigenvalues(ul))
-    assert np.array_equal(values[1], model.eigenvalues(ur))
+    assert np.array_equal(values[0], model.eigen_cells(ul)[0])
+    assert np.array_equal(values[1], model.eigen_cells(ur)[0])
     for got, expected in zip(eigen, _roe_average(model, ul, ur)):
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
@@ -408,8 +417,15 @@ def _separate_sides_rhs(op, field):
         lam_hat, right_vec, left_vec = _roe_average(model, left, right)
         jump = np.swapaxes(right - left, -1, -2)[..., None]
         strength = (left_vec @ jump)[..., 0]
-        speed = entropy_fix(lam_hat, model.eigenvalues(left),
-                            model.eigenvalues(right))
+        # the Harten-Hyman speed, lifted inside the sonic band
+        lam_left, lam_right = model.eigen_cells(left)[0], \
+            model.eigen_cells(right)[0]
+        delta = np.maximum(0.0, np.maximum(lam_hat - lam_left,
+                                           lam_right - lam_hat))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            speed = np.where(np.abs(lam_hat) < delta,
+                             0.5 * (lam_hat * lam_hat / delta + delta),
+                             np.abs(lam_hat))
         dissipation = (right_vec @ (speed * strength)[..., None])[..., 0]
         flux = average - 0.5 * np.swapaxes(dissipation, -1, -2)
     return -(flux - np.roll(flux, 1, axis=-1)) / op.space_grid.dx

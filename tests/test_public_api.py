@@ -1,0 +1,78 @@
+"""No public name of the package survives only because its own tests use it.
+
+Every public function, class and method defined in src/mgritlab must be
+referenced somewhere in the package or the benchmark (perfbench/), not
+counting the re-exports of __init__ and docstrings. A string constant that
+is exactly the name counts as a reference, because the benchmark's tracer
+looks methods up by name.
+"""
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "mgritlab"
+
+
+def _docstrings(tree: ast.Module) -> set:
+    """ids of the string constants that are docstrings."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) \
+                and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and \
+                    isinstance(first.value, ast.Constant) and \
+                    isinstance(first.value.value, str):
+                found.add(id(first.value))
+    return found
+
+
+def _references(tree: ast.Module) -> set:
+    """Names read, attributes taken, names imported, and identifier-like
+    string constants (docstrings aside)."""
+    docstrings = _docstrings(tree)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and \
+                isinstance(node.value, str) and id(node) not in docstrings \
+                and node.value.isidentifier():
+            names.add(node.value)
+    return names
+
+
+def _public_definitions(tree: ast.Module, module: str):
+    """(qualified name, name) of the module's public functions and classes
+    and of their classes' public methods."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
+                node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and \
+                        not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    sources = {path: ast.parse(path.read_text())
+               for path in sorted(PACKAGE.glob("*.py"))
+               + sorted((REPO / "perfbench").glob("*.py"))}
+    referenced = set()
+    for path, tree in sources.items():
+        if path != PACKAGE / "__init__.py":
+            referenced |= _references(tree)
+    defined = [entry for path, tree in sources.items()
+               if path.parent == PACKAGE
+               for entry in _public_definitions(tree, path.stem)]
+    assert len(defined) > 50
+    unused = [qualified for qualified, name in defined
+              if name not in referenced]
+    assert unused == []

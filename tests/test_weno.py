@@ -25,8 +25,9 @@ from mgritlab import (
     reconstruct_interface_states,
     reconstruct_left,
 )
-from mgritlab.weno import (BLOCK_WINDOWS, _pair_terms, _window_indices,
-                           reconstruct_pair)
+from mgritlab.weno import (BLOCK_WINDOWS, _newton_candidate,
+                           _newton_sum_of_squares, _pair_terms,
+                           _window_indices, reconstruct_pair)
 
 EPS = 1e-6
 
@@ -167,11 +168,13 @@ def test_table_invariants(k):
         # constant data is perfectly smooth
         assert abs(ones @ mat @ ones) < 1e-12
     # the kernel's Newton-basis forms reproduce the exact tables, as rationals
-    assert len(tables.exact_candidate_forms) == k + 1
+    candidate_forms = _candidate_forms(tables)
+    smoothness_forms = _smoothness_forms(tables)
+    assert len(candidate_forms) == k + 1
     for r in range(k + 1):
-        cand = tables.exact_candidate_forms[r]
+        cand = candidate_forms[r]
         assert _stencil_form(Fraction(1), cand) == tables.exact_coeffs[r]
-        forms = _stencil_squares(tables.exact_smoothness_forms[r])
+        forms = _stencil_squares(smoothness_forms[r])
         assert len(forms) == k
         rebuilt = tuple(
             tuple(sum((w * f[a] * f[b] for w, f in forms), Fraction(0))
@@ -184,12 +187,23 @@ def test_table_invariants(k):
             assert tables.newton_candidates[j - 1, 0, r, 0] == float(e)
             assert tables.newton_candidates[j - 1, 1, r, 0] == \
                 (-1) ** j * float(e)
-        for m, (w, tail) in enumerate(tables.exact_smoothness_forms[r]):
+        for m, (w, tail) in enumerate(smoothness_forms[r]):
             assert w > 0 and tables.newton_weights[m, r, 0] == float(w)
             expected = [0.0] * (m + 1) + [float(v) for v in tail]
             assert list(tables.newton_forms[m, :, 0, r, 0]) == expected
             assert list(tables.newton_forms[m, :, 1, r, 0]) == \
                 [(-1) ** (j - m) * v for j, v in enumerate(expected)]
+
+
+def _candidate_forms(tables):
+    """Each stencil's candidate in the Newton basis, (e_1, ..., e_k)."""
+    return tuple(_newton_candidate(row) for row in tables.exact_coeffs)
+
+
+def _smoothness_forms(tables):
+    """Each stencil's smoothness form in the Newton basis, as the kernel's
+    tables are built from it."""
+    return tuple(_newton_sum_of_squares(b) for b in tables.exact_smoothness)
 
 
 def _stencil_form(lead, newton):
@@ -215,7 +229,7 @@ def test_degree_two_smoothness_forms_are_jiang_shu():
     # images, each linear form scaled to coprime integers
     f = Fraction
     canonical = []
-    for forms in build_tables(2).exact_smoothness_forms:
+    for forms in _smoothness_forms(build_tables(2)):
         row = []
         for w, coeffs in _stencil_squares(forms):
             scale = math.lcm(*(c.denominator for c in coeffs))
@@ -614,7 +628,8 @@ def _one_side_reconstruct_left(tables, epsilon, window):
     each window from that window's own differences, with tables rebuilt
     from the exact forms."""
     k = tables.k
-    cand = [[float(e) for e in form] for form in tables.exact_candidate_forms]
+    cand = [[float(e) for e in form] for form in _candidate_forms(tables)]
+    smoothness_forms = _smoothness_forms(tables)
     rows = np.ascontiguousarray(np.moveaxis(window, -1, 0))
     rows = rows.reshape(tables.window, -1)
     differences = [rows]
@@ -629,11 +644,11 @@ def _one_side_reconstruct_left(tables, epsilon, window):
         square = at[m + 1].copy()
         for j in range(m + 1, k):
             tail = [[float(forms[m][1][j - m - 1])]
-                    for forms in tables.exact_smoothness_forms]
+                    for forms in smoothness_forms]
             square += np.array(tail) * at[j + 1]
         square *= square
         square *= np.array([[float(forms[m][0])]
-                            for forms in tables.exact_smoothness_forms])
+                            for forms in smoothness_forms])
         beta += square
     beta += epsilon
     beta *= beta
