@@ -25,10 +25,17 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="override the config's iteration count")
 
 
-def _out_path(args) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    return Path(Path(args.config).stem + ".csv")
+def _load(args):
+    """The config and the output path, checked before anything runs."""
+    try:
+        config = load_config(args.config)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.config} is not UTF-8 text: {exc}") from None
+    out = Path(args.out if args.out is not None
+               else Path(args.config).stem + ".csv")
+    if not out.parent.is_dir():
+        raise FileNotFoundError(f"no directory {out.parent} for {out}")
+    return config, out
 
 
 def _summarise(name: str, result) -> str:
@@ -45,10 +52,9 @@ def _summarise(name: str, result) -> str:
 
 
 def _cmd_solve(args) -> int:
-    config = load_config(args.config)
+    config, out = _load(args)
     result = run_experiment(config, parallelism=args.parallelism,
                             max_iters=args.max_iters)
-    out = _out_path(args)
     emit_csv(experiment_table(result), out)
     write_meta(out, ["error"], [result])
     print(_summarise(out.name, result))
@@ -56,10 +62,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
+    config, out = _load(args)
     result = run_sweep(config, parallelism=args.parallelism,
                        max_iters=args.max_iters)
-    out = _out_path(args)
     emit_csv(result.table, out)
     write_meta(out, result.table.columns, result.runs)
     for name, run in zip(result.table.columns, result.runs):
@@ -103,7 +108,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PhysicalStateError as exc:

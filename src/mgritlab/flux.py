@@ -30,7 +30,6 @@ from .errors import ConfigError
 from .grid import SpatialGrid
 from .models import ConservationModel, on_stack
 from .weno import (DEFAULT_EPSILON, SUPPORTED_DEGREES, build_tables,
-                   check_field, interface_states_into,
                    reconstruct_interface_states)
 
 FLUX_KINDS = ("lf", "roe")
@@ -79,7 +78,7 @@ def lf_alpha(model: ConservationModel, sides: np.ndarray) -> np.ndarray:
     """
     (speeds,) = scratch.arrays(("interface",),
                                sides.shape[:-2] + sides.shape[-1:])
-    on_stack(lambda stack: model._max_abs_speed_into(stack, speeds), sides)
+    on_stack(lambda stack: model.max_abs_speed(stack, out=speeds), sides)
     return np.max(speeds, axis=(0, -1))
 
 
@@ -90,8 +89,12 @@ def _lf_layout(shape):
     return (("interface", shape), ("interface", shape[1:]))
 
 
-def _lf_flux_into(model: ConservationModel, sides: np.ndarray, alpha,
-                  out: np.ndarray) -> np.ndarray:
+def lf_flux(model: ConservationModel, sides: np.ndarray, alpha,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Lax-Friedrichs interface flux with dissipation speed alpha, written
+    into out if one is given."""
+    if out is None:
+        out = np.empty(sides.shape[1:])
     fluxes, jump = scratch.buffers(_lf_layout, sides.shape)
     on_stack(lambda stack: model._flux_into(stack, fluxes), sides)
     np.add(fluxes[0], fluxes[1], out=out)
@@ -100,12 +103,6 @@ def _lf_flux_into(model: ConservationModel, sides: np.ndarray, alpha,
     np.multiply(0.5 * np.asarray(alpha, float)[..., None, None], jump,
                 out=jump)
     return np.subtract(out, jump, out=out)
-
-
-def lf_flux(model: ConservationModel, sides: np.ndarray,
-            alpha) -> np.ndarray:
-    """Lax-Friedrichs interface flux with dissipation speed alpha."""
-    return _lf_flux_into(model, sides, alpha, np.empty(sides.shape[1:]))
 
 
 def _entropy_fix_into(lam_hat, lam_left, lam_right, out, delta, lifted,
@@ -148,13 +145,22 @@ def _roe_layout(shape):
             ("interface", cells + (1,)))
 
 
-def _roe_flux_into(model: ConservationModel, sides: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
+def roe_flux(model: ConservationModel, sides: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Roe interface flux with entropy fix, written into out if one is
+    given.
+
+    Wave strengths are the expansion coefficients of the jump in the Roe
+    eigenbasis, a = left_vectors @ (uR - uL); the fix compares each Roe
+    eigenvalue with its counterparts evaluated at the two interface states.
+    """
+    if out is None:
+        out = np.empty(sides.shape[1:])
     (fluxes, values, lam_hat, right_vec, left_vec, jump, strength, speed,
      delta, lifted, fix, dissipation) = scratch.buffers(_roe_layout,
                                                         sides.shape)
-    model._roe_terms_into(sides, fluxes, values, lam_hat, right_vec,
-                          left_vec)
+    model.roe_terms(sides, out=(fluxes, values,
+                                (lam_hat, right_vec, left_vec)))
     np.subtract(sides[1], sides[0], out=jump)
     np.matmul(left_vec, np.swapaxes(jump, -1, -2)[..., None], out=strength)
     _entropy_fix_into(lam_hat, values[0], values[1], speed, delta, lifted,
@@ -168,16 +174,6 @@ def _roe_flux_into(model: ConservationModel, sides: np.ndarray,
                        out=out)
 
 
-def roe_flux(model: ConservationModel, sides: np.ndarray) -> np.ndarray:
-    """Roe interface flux with entropy fix.
-
-    Wave strengths are the expansion coefficients of the jump in the Roe
-    eigenbasis, a = left_vectors @ (uR - uL); the fix compares each Roe
-    eigenvalue with its counterparts evaluated at the two interface states.
-    """
-    return _roe_flux_into(model, sides, np.empty(sides.shape[1:]))
-
-
 def _rhs_layout(shape):
     return (("flux.sides", (2,) + shape), ("flux.at", shape))
 
@@ -186,9 +182,10 @@ class SemiDiscreteOperator:
     """Finite-volume right-hand side on a periodic mesh.
 
     Accepts states of shape (..., D, N) so whole batches of independent
-    fields advance in one call. The interface states and fluxes of rhs
-    live in this thread's scratch buffers (see `scratch`); rhs and the
-    other public methods return arrays of their own.
+    fields advance in one call. rhs runs the public kernels of this module
+    by their module-level names, with the interface states and fluxes in
+    this thread's scratch buffers (see `scratch`); it returns an array of
+    its own.
     """
 
     def __init__(self, model: ConservationModel, space_grid: SpatialGrid,
@@ -202,26 +199,17 @@ class SemiDiscreteOperator:
         self.config = config
         self.tables = build_tables(config.weno.degree)
 
-    def interface_states(self, field: np.ndarray):
-        return reconstruct_interface_states(
-            self.model, field, self.tables, self.config.weno.epsilon,
-            self.config.weno.characteristic)
-
-    def _interface_flux_into(self, field, sides, out) -> np.ndarray:
-        """Interface fluxes of a checked field into out, by way of sides."""
-        interface_states_into(self.model, field, self.tables,
-                              self.config.weno.epsilon,
-                              self.config.weno.characteristic, sides)
-        if self.config.kind == "lf":
-            return _lf_flux_into(self.model, sides,
-                                 lf_alpha(self.model, sides), out)
-        return _roe_flux_into(self.model, sides, out)
-
     def rhs(self, field: np.ndarray) -> np.ndarray:
-        field = check_field(self.tables, field)
+        field = np.asarray(field, float)
         sides, flux_at = scratch.buffers(_rhs_layout, field.shape)
+        model, weno = self.model, self.config.weno
+        reconstruct_interface_states(model, field, self.tables, weno.epsilon,
+                                     weno.characteristic, out=sides)
         # entry i of flux_at is interface i+1/2
-        self._interface_flux_into(field, sides, flux_at)
+        if self.config.kind == "lf":
+            lf_flux(model, sides, lf_alpha(model, sides), out=flux_at)
+        else:
+            roe_flux(model, sides, out=flux_at)
         out = np.empty(field.shape)
         np.subtract(flux_at[..., 1:], flux_at[..., :-1], out=out[..., 1:])
         np.subtract(flux_at[..., 0], flux_at[..., -1], out=out[..., 0])

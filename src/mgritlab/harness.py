@@ -118,6 +118,13 @@ class ExperimentConfig:
     sweep_values: tuple = ()
 
 
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: '{raw}'")
+    return value
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "on", "1"):
@@ -142,7 +149,7 @@ def _field_parser(field: dataclasses.Field):
         element = field.default[0]
         parse = str.strip if isinstance(element, str) else type(element)
         return lambda raw: tuple(parse(part) for part in raw.split("/"))
-    return {"bool": _parse_bool, "int": int, "float": float,
+    return {"bool": _parse_bool, "int": int, "float": _parse_finite,
             "str": str}[field.type]
 
 

@@ -51,10 +51,10 @@ def on_stack(evaluate, stack: np.ndarray):
 class ConservationModel:
     """Common interface; subclasses fill in the physics.
 
-    The public methods return arrays of their own. Each is a thin wrapper
-    that allocates them and calls a private `_*_into` method writing into
-    arrays it is given, which is also what the semi-discrete operator calls
-    with scratch buffers (see `scratch`).
+    Each public method checks the states' shape once and runs a private
+    `_*_into` hook of the subclass on fresh arrays or, where it takes
+    one, on the out it is given; the right-hand side's kernels pass
+    scratch buffers (see `scratch`) as out.
     """
 
     kind: str
@@ -73,38 +73,44 @@ class ConservationModel:
     def _flux_into(self, u, out):
         raise NotImplementedError
 
-    def max_abs_speed(self, u: np.ndarray) -> np.ndarray:
+    def max_abs_speed(self, u: np.ndarray, out=None) -> np.ndarray:
         """max_k |lambda_k| per cell, shape (..., N)."""
         self._check_shape(u)
-        return self._max_abs_speed_into(u, np.empty(u.shape[:-2]
-                                                    + u.shape[-1:]))
+        if out is None:
+            out = np.empty(u.shape[:-2] + u.shape[-1:])
+        return self._max_abs_speed_into(u, out)
 
     def _max_abs_speed_into(self, u, out):
         raise NotImplementedError
 
-    def eigen_cells(self, u: np.ndarray):
-        """(values, right, left) per cell for characteristic projection."""
+    def eigen_cells(self, u: np.ndarray, out=None):
+        """(values, right, left) per cell for characteristic projection;
+        out is such a tuple of arrays (see eigen_arrays)."""
         self._check_shape(u)
-        out = eigen_arrays(u.shape)
+        if out is None:
+            out = eigen_arrays(u.shape)
         self._eigen_cells_into(u, *out)
         return out
 
     def _eigen_cells_into(self, u, values, right, left):
         raise NotImplementedError
 
-    def roe_terms(self, sides: np.ndarray):
+    def roe_terms(self, sides: np.ndarray, out=None):
         """What the Roe flux needs at the interfaces whose (2, ..., D, N)
         sides are given, from one pass over each side's primitive
         variables: (fluxes, values, (roe_values, right, left)), the sides'
         fluxes (2, ..., D, N) and eigenvalues (2, ..., N, D), and the
         eigenvalues and right and left eigenvector matrices of the Roe
-        linearisation, (..., N, D) and (..., N, D, D)."""
+        linearisation, (..., N, D) and (..., N, D, D). out is such a
+        nested tuple of arrays."""
         self._check_shape(sides)
-        fluxes = np.empty(sides.shape)
-        values = np.empty(sides.shape[:-2] + sides.shape[:-3:-1])
-        eigen = eigen_arrays(sides.shape[1:])
+        if out is None:
+            out = (np.empty(sides.shape),
+                   np.empty(sides.shape[:-2] + sides.shape[:-3:-1]),
+                   eigen_arrays(sides.shape[1:]))
+        fluxes, values, eigen = out
         self._roe_terms_into(sides, fluxes, values, *eigen)
-        return fluxes, values, eigen
+        return out
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
@@ -204,7 +210,6 @@ class ShallowWater(ConservationModel):
         return self._flux_from(u, *self._depth_velocity(u), out)
 
     def _max_abs_speed_into(self, u, out):
-        self._check_shape(u)
         h, vel = self._depth_velocity(u)
         np.abs(vel, out=out)
         return np.add(out, self._celerity(h), out=out)
@@ -223,13 +228,11 @@ class ShallowWater(ConservationModel):
         left[..., 1, 1] = inv2c
 
     def _eigen_cells_into(self, u, values, right, left):
-        self._check_shape(u)
         h, vel = self._depth_velocity(u)
         self._eigen_from(vel, self._celerity(h), values, right, left)
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
-        self._check_shape(sides)
         h, vel = on_stack(self._depth_velocity, sides)
         self._values_into(vel, self._celerity(h), values)
         root, weighted = scratch.arrays(("sw.root", "sw.weighted"), h.shape)
@@ -306,7 +309,6 @@ class Euler(ConservationModel):
         return self._flux_from(u, vel, p, out)
 
     def _max_abs_speed_into(self, u, out):
-        self._check_shape(u)
         rho, vel, p = self._primitives(u)
         np.abs(vel, out=out)
         return np.add(out, self._sound_speed(rho, p), out=out)
@@ -357,7 +359,6 @@ class Euler(ConservationModel):
         left[..., 2, 2] = left[..., 0, 2]
 
     def _eigen_cells_into(self, u, values, right, left):
-        self._check_shape(u)
         rho, vel, p = self._primitives(u)
         (enthalpy,) = scratch.arrays(("euler.enthalpy",), rho.shape)
         np.divide(np.add(u[..., 2, :], p, out=enthalpy), rho, out=enthalpy)
@@ -366,7 +367,6 @@ class Euler(ConservationModel):
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
-        self._check_shape(sides)
         rho, vel, p = on_stack(self._primitives, sides)
         self._values_into(vel, self._sound_speed(rho, p), values)
         root, weighted_vel, weighted_enthalpy = scratch.arrays(

@@ -19,8 +19,9 @@ replaced array would no longer share memory with the others.
 Buffers live until the thread ends. Their contents live only until the next
 request for the same name: a function may hold its views while it runs and
 calls others, as long as no two functions active at once use one name, and
-nothing that outlives the call may be a view of a buffer. Every public
-function of the package returns arrays of its own.
+nothing that outlives the call may be a view of a buffer. A kernel writes
+into the buffers it is passed as its `out`, and otherwise returns arrays
+of its own, as every other public function of the package does.
 
 There is one store per thread, because MGRIT's worker threads run one
 stepper on several slices of a batch at once; each store is shared by every

@@ -27,7 +27,8 @@ from .models import Burgers, make_model
 from .serial import solve_serial
 from .stepper import (MatchedLFFine, RungeKuttaStepper, step_fe, step_ssprk2,
                       step_ssprk3)
-from .weno import build_tables, nonlinear_weights, reconstruct_left
+from .weno import (DEFAULT_EPSILON, build_tables, nonlinear_weights,
+                   reconstruct_interface_states, reconstruct_left)
 
 
 def _sixths(rows):
@@ -164,12 +165,12 @@ def _check_matched_fine():
     rng = np.random.default_rng(3)
     u = rng.normal(size=(1, grid.n_cells))
     matched = MatchedLFFine(model, grid, dt).advance(u)
-    op = SemiDiscreteOperator(model, grid, FluxConfig(
-        kind="lf", weno=WenoConfig(order=1)))
+    tables = build_tables(0)
     alpha = grid.dx / dt
 
     def rhs(state):
-        f = lf_flux(model, op.interface_states(state),
+        f = lf_flux(model, reconstruct_interface_states(model, state, tables,
+                                                        DEFAULT_EPSILON),
                     np.full(state.shape[:-2], alpha))
         return -(f - np.roll(f, 1, axis=-1)) / grid.dx
 

@@ -304,9 +304,17 @@ def nonlinear_weights(tables: WenoTables, epsilon: float,
 BLOCK_WINDOWS = 4096
 
 
-def _reconstruct_pair_into(tables: WenoTables, epsilon: float,
-                           columns: np.ndarray, values: np.ndarray) -> None:
-    """reconstruct_pair of the (M, W) windows columns into (2, M) values."""
+def reconstruct_pair(tables: WenoTables, epsilon: float, window: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """(2, ...) values of the windows centred on cells i: [0] just left of
+    x_{i+1/2}, [1] just right of x_{i-1/2} (the left value of the reversed
+    window). Written into out, a C-contiguous array of that shape, if one
+    is given."""
+    window = _check_window(tables, window)
+    columns = window.reshape(-1, tables.window)
+    if out is None:
+        out = np.empty((2,) + window.shape[:-1])
+    values = out.reshape(2, -1)
     for start in range(0, len(columns), BLOCK_WINDOWS):
         block = slice(start, start + BLOCK_WINDOWS)
         candidates, beta = _pair_terms(tables,
@@ -317,18 +325,7 @@ def _reconstruct_pair_into(tables: WenoTables, epsilon: float,
         value[...] = omega[:, 0]
         for r in range(1, tables.k + 1):
             value += omega[:, r]
-
-
-def reconstruct_pair(tables: WenoTables, epsilon: float,
-                     window: np.ndarray) -> np.ndarray:
-    """(2, ...) values of the windows centred on cells i: [0] just left of
-    x_{i+1/2}, [1] just right of x_{i-1/2} (the left value of the reversed
-    window)."""
-    window = _check_window(tables, window)
-    columns = window.reshape(-1, tables.window)
-    values = np.empty((2, len(columns)))
-    _reconstruct_pair_into(tables, epsilon, columns, values)
-    return values.reshape((2,) + window.shape[:-1])
+    return out
 
 
 def reconstruct_left(tables: WenoTables, epsilon: float,
@@ -366,19 +363,6 @@ def _interface_sides(values: np.ndarray, sides: np.ndarray) -> None:
     sides[1, ..., -1] = values[1, ..., 0]
 
 
-def check_field(tables: WenoTables, field) -> np.ndarray:
-    """field as a float array, checked to be (..., D, N) with enough cells
-    for a window."""
-    field = np.asarray(field, float)
-    if field.ndim < 2:
-        raise DimensionError(f"field must be (..., D, N), got {field.shape}")
-    n_cells = field.shape[-1]
-    if n_cells < tables.window:
-        raise DimensionError(
-            f"{n_cells} cells cannot support a {tables.window}-cell window")
-    return field
-
-
 # The windows and values of a reconstruction take the "interface" buffer,
 # which the numerical flux takes for its terms once the sides are made.
 
@@ -404,20 +388,40 @@ def _reuse(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     return buffer.reshape(-1)[:prod(shape)].reshape(shape)
 
 
-def interface_states_into(model, field: np.ndarray, tables: WenoTables,
-                          epsilon: float, characteristic: bool,
-                          sides: np.ndarray) -> None:
-    """reconstruct_interface_states of a checked field (check_field) into
-    sides, with this thread's scratch buffers for every temporary."""
-    if tables.k == 0:
-        _interface_sides(np.broadcast_to(field, (2,) + field.shape), sides)
-        return
+def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
+                                 epsilon: float, characteristic: bool = True,
+                                 out: np.ndarray | None = None) -> np.ndarray:
+    """Left and right states at every interface of a periodic field.
+
+    field has shape (..., D, N). Returns one C-contiguous (2, ..., D, N)
+    array of sides, out if one is given: sides[0] is u- and sides[1] is u+
+    at x_{i+1/2}, the right edge of cell i, so `left, right = sides`
+    unpacks them. Each cell's window is gathered once and gives both of
+    the cell's values: the left value at x_{i+1/2} and the right value at
+    x_{i-1/2}, which one shift by a cell puts at the interface it belongs
+    to. With characteristic=True and D > 1, the window is projected onto
+    the characteristic fields of its own cell, reconstructed per field,
+    and projected back. Degree 0 is the identity, so its sides are the
+    field and its neighbour, without any projection. Every temporary is a
+    scratch buffer of this thread (see `scratch`).
+    """
+    field = np.asarray(field, float)
+    if field.ndim < 2:
+        raise DimensionError(f"field must be (..., D, N), got {field.shape}")
     n_components, n_cells = field.shape[-2:]
+    if n_cells < tables.window:
+        raise DimensionError(
+            f"{n_cells} cells cannot support a {tables.window}-cell window")
+    if out is None:
+        out = np.empty((2,) + field.shape)
+    if tables.k == 0:
+        _interface_sides(np.broadcast_to(field, (2,) + field.shape), out)
+        return out
     key = (field.shape, tables.window)
     if characteristic and n_components > 1:
         (lam, right_vec, left_vec, windows,
          projected) = scratch.buffers(_characteristic_layout, key)
-        model._eigen_cells_into(field, lam, right_vec, left_vec)
+        model.eigen_cells(field, out=(lam, right_vec, left_vec))
         # cell-major windows (..., N, D, W), projected per cell to
         # characteristic windows (..., N, C, W); the projection commutes
         # with reversing a window, so cell j's value at x_{j-1/2} is in its
@@ -427,10 +431,8 @@ def interface_states_into(model, field: np.ndarray, tables: WenoTables,
                 _characteristic_indices(n_components, n_cells, tables.k),
                 axis=-1, out=windows, mode="clip")
         np.matmul(left_vec, windows, out=projected)
-        pair = _reuse(windows, (2,) + lam.shape)
-        _reconstruct_pair_into(tables, epsilon,
-                               projected.reshape(-1, tables.window),
-                               pair.reshape(2, -1))
+        pair = reconstruct_pair(tables, epsilon, projected,
+                                out=_reuse(windows, (2,) + lam.shape))
         back = _reuse(projected, pair.shape + (1,))
         np.matmul(right_vec, pair[..., None], out=back)
         values = np.swapaxes(back[..., 0], -1, -2)
@@ -438,29 +440,6 @@ def interface_states_into(model, field: np.ndarray, tables: WenoTables,
         windows, values = scratch.buffers(_component_layout, key)
         np.take(field, _window_indices(n_cells, tables.k), axis=-1,
                 out=windows, mode="clip")
-        _reconstruct_pair_into(tables, epsilon,
-                               windows.reshape(-1, tables.window),
-                               values.reshape(2, -1))
-    _interface_sides(values, sides)
-
-
-def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
-                                 epsilon: float, characteristic: bool = True):
-    """Left and right states at every interface of a periodic field.
-
-    field has shape (..., D, N). Returns one C-contiguous (2, ..., D, N)
-    array of sides: sides[0] is u- and sides[1] is u+ at x_{i+1/2}, the
-    right edge of cell i, so `left, right = sides` unpacks them. Each
-    cell's window is gathered once and gives both of the cell's values:
-    the left value at x_{i+1/2} and the right value at x_{i-1/2}, which one
-    shift by a cell puts at the interface it belongs to. With
-    characteristic=True and D > 1, the window is projected onto the
-    characteristic fields of its own cell, reconstructed per field, and
-    projected back. Degree 0 is the identity, so its sides are the field
-    and its neighbour, without any projection.
-    """
-    field = check_field(tables, field)
-    sides = np.empty((2,) + field.shape)
-    interface_states_into(model, field, tables, epsilon, characteristic,
-                          sides)
-    return sides
+        reconstruct_pair(tables, epsilon, windows, out=values)
+    _interface_sides(values, out)
+    return out

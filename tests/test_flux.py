@@ -12,6 +12,7 @@ from mgritlab import (
     lf_alpha,
     lf_flux,
     make_model,
+    reconstruct_interface_states,
     roe_flux,
 )
 from mgritlab.flux import _entropy_fix_into
@@ -406,8 +407,9 @@ def _smooth_field(model, batch, n):
 def _separate_sides_rhs(op, field):
     """The right-hand side with every model quantity evaluated on the left
     and right interface states separately."""
-    model = op.model
-    left, right = op.interface_states(field)
+    model, weno = op.model, op.config.weno
+    left, right = reconstruct_interface_states(
+        model, field, op.tables, weno.epsilon, weno.characteristic)
     average = 0.5 * (model.flux(left) + model.flux(right))
     if op.config.kind == "lf":
         alpha = np.maximum(np.max(model.max_abs_speed(left), axis=-1),

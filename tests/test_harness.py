@@ -26,7 +26,7 @@ from mgritlab import (
     run_sweep,
     validate_config,
 )
-from mgritlab import selfcheck
+from mgritlab import harness, selfcheck
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -261,6 +261,21 @@ def test_parse_bad_key_text_names_value_line_and_key(key, line, detail):
         f"bad value '{raw}': {detail} (line {lineno}, key '{key}')"
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["horizon", "length", "epsilon", "gamma",
+                                 "gravity", "divergence_threshold"])
+def test_parse_rejects_non_finite_float_values(key, raw):
+    # every range check is x <= 0, which nan passes, and with a nan
+    # divergence threshold no run would ever be flagged as diverging
+    lines = _key_lines({key: f"{key} = {raw}"})
+    lineno = list(lines).index(key) + 1
+    with pytest.raises(ParseError) as info:
+        parse_config("\n".join(lines.values()) + "\n")
+    assert (info.value.line, info.value.key) == (lineno, key)
+    assert str(info.value) == (f"bad value '{raw}': not a finite number: "
+                               f"'{raw}' (line {lineno}, key '{key}')")
+
+
 @pytest.mark.parametrize("key,raw,message", [
     ("n_t", "seven", "bad sweep value 'seven' for 'n_t': invalid literal "
                      "for int() with base 10: 'seven'"),
@@ -270,6 +285,8 @@ def test_parse_bad_key_text_names_value_line_and_key(key, line, detail):
                                 "'characteristic': not a boolean: 'maybe'"),
     ("weno_order", "3/x", "bad sweep value '3/x' for 'weno_order': invalid "
                           "literal for int() with base 10: 'x'"),
+    ("gamma", "nan", "bad sweep value 'nan' for 'gamma': not a finite "
+                     "number: 'nan'"),
     ("grid", "128", "bad grid value '128', expected '<n_x>x<n_t>'"),
 ])
 def test_bad_sweep_value_message(key, raw, message):
@@ -678,13 +695,25 @@ def test_cli_default_output_name_follows_config(tmp_path, monkeypatch):
     assert (tmp_path / "runme.csv").exists()
 
 
-def test_cli_errors_exit_with_code_two(tmp_path, capsys):
+def test_cli_errors_exit_with_code_two(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "missing.cfg"
     assert main(["solve", "--config", str(missing)]) == 2
     bad = _write_config(tmp_path, MINIMAL + "\nmystery = 1\n")
     assert main(["solve", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "mystery" in err
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(MINIMAL.replace("burgers", "b\xfcrgers")
+                         .encode("latin-1"))
+    good = _write_config(tmp_path, MINIMAL, name="good.cfg")
+    # each is reported before the serial reference runs
+    monkeypatch.setattr(harness, "solve_serial", None)
+    for args in (["--config", str(tmp_path)], ["--config", str(not_utf8)],
+                 ["--config", str(good),
+                  "--out", str(tmp_path / "no" / "such.csv")]):
+        assert main(["solve"] + args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_bad_model_parameter_exits_with_code_two(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""No public name of the package survives only because its own tests use it.
+"""No public name of the package survives only because its own tests use it,
+and the benchmark's tracer reaches the kernels the solver runs.
 
 Every public function, class and method defined in src/mgritlab must be
 referenced somewhere in the package or the benchmark (perfbench/), not
@@ -7,6 +8,9 @@ is exactly the name counts as a reference, because the benchmark's tracer
 looks methods up by name.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -76,3 +80,33 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = [qualified for qualified, name in defined
               if name not in referenced]
     assert unused == []
+
+
+# tracing.install patches the package for the rest of its process, so it
+# runs in a process of its own; prints the names of the spans it records
+_TRACE_ONE_RHS_EACH = """
+import numpy as np
+import tracing
+from mgritlab import (FluxConfig, SemiDiscreteOperator, SpatialGrid,
+                      WenoConfig, make_model)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for kind, flux, order in (("euler", "roe", 5), ("shallow-water", "lf", 3)):
+    model = make_model(kind)
+    op = SemiDiscreteOperator(model, SpatialGrid(1.0, 16), FluxConfig(
+        kind=flux, weno=WenoConfig(order=order)))
+    op.rhs(np.ones((model.n_components, 16)))
+print(" ".join(sorted({span[0] for span in tracer.spans})))
+"""
+
+
+def test_tracer_spans_reach_the_right_hand_side_kernels():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), str(REPO / "perfbench")]))
+    done = subprocess.run([sys.executable, "-c", _TRACE_ONE_RHS_EACH],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, cwd=REPO)
+    assert done.returncode == 0, done.stderr
+    spans = set(done.stdout.split())
+    assert {"weno.reconstruct_interface_states", "flux.roe_flux",
+            "flux.lf_flux", "flux.lf_alpha", "flux.rhs"} <= spans, spans

@@ -21,6 +21,7 @@ from mgritlab import (
     lf_flux,
     make_model,
     reconstruct_interface_states,
+    reconstruct_pair,
     roe_flux,
 )
 from mgritlab import scratch
@@ -112,7 +113,23 @@ def test_advance_returns_neither_its_input_nor_a_buffer():
             assert not np.shares_memory(out, flat)
 
 
+def _leaves(result):
+    """The arrays of a kernel's result, which may nest tuples of them."""
+    if isinstance(result, tuple):
+        return [leaf for part in result for leaf in _leaves(part)]
+    return [result]
+
+
+def _nan_like(result):
+    """A NaN-filled out of the result's structure, shapes and dtypes."""
+    if isinstance(result, tuple):
+        return tuple(_nan_like(part) for part in result)
+    return np.full_like(result, np.nan)
+
+
 def test_public_kernels_return_arrays_of_their_own():
+    # with no out, a kernel's result shares no memory with the scratch
+    # store; a given out is returned as is, holding the same bits
     tables = build_tables(2)
     for kind in ("burgers", "shallow-water", "euler"):
         model = make_model(kind)
@@ -121,11 +138,27 @@ def test_public_kernels_return_arrays_of_their_own():
                                   FluxConfig(kind="roe",
                                              weno=WenoConfig(order=5)))
         sides = reconstruct_interface_states(model, field, tables, 1e-6)
-        results = [sides, op.rhs(field), op.interface_states(field),
-                   roe_flux(model, sides),
-                   lf_flux(model, sides, lf_alpha(model, sides)),
-                   model.flux(field), model.max_abs_speed(field),
-                   *model.eigen_cells(field), *model.roe_terms(sides)[:2]]
+        alpha = lf_alpha(model, sides)
+        kernels = {
+            "reconstruct_interface_states":
+                lambda out: reconstruct_interface_states(
+                    model, field, tables, 1e-6, out=out),
+            "reconstruct_pair": lambda out: reconstruct_pair(
+                tables, 1e-6, field[..., :tables.window], out=out),
+            "lf_flux": lambda out: lf_flux(model, sides, alpha, out=out),
+            "roe_flux": lambda out: roe_flux(model, sides, out=out),
+            "max_abs_speed": lambda out: model.max_abs_speed(field, out=out),
+            "eigen_cells": lambda out: model.eigen_cells(field, out=out),
+            "roe_terms": lambda out: model.roe_terms(sides, out=out),
+        }
+        results = [sides, alpha, op.rhs(field), model.flux(field)]
+        for name, kernel in kernels.items():
+            fresh = kernel(None)
+            out = _nan_like(fresh)
+            assert kernel(out) is out, (kind, name)
+            for given, want in zip(_leaves(out), _leaves(fresh)):
+                assert given.tobytes() == want.tobytes(), (kind, name)
+            results += _leaves(fresh)
         for result in results:
             for flat in _held_arrays():
                 assert not np.shares_memory(result, flat), kind
