@@ -49,7 +49,7 @@ class WenoConfig:
             raise ConfigError(
                 f"unsupported reconstruction order {self.order}, "
                 f"expected one of {supported}")
-        if self.epsilon <= 0.0:
+        if not 0.0 < self.epsilon < np.inf:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
     @property
@@ -93,6 +93,7 @@ def lf_flux(model: ConservationModel, sides: np.ndarray, alpha,
             out: np.ndarray | None = None) -> np.ndarray:
     """Lax-Friedrichs interface flux with dissipation speed alpha, written
     into out if one is given."""
+    model._check_shape(sides)
     if out is None:
         out = np.empty(sides.shape[1:])
     fluxes, jump = scratch.buffers(_lf_layout, sides.shape)

@@ -22,7 +22,7 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self):
-        if self.length <= 0.0:
+        if not 0.0 < self.length < np.inf:
             raise ConfigError(f"domain length must be positive, got {self.length}")
         if self.n_cells < 1:
             raise ConfigError(f"need at least one cell, got {self.n_cells}")
@@ -43,7 +43,7 @@ class TemporalGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
+        if not 0.0 < self.horizon < np.inf:
             raise ConfigError(f"time horizon must be positive, got {self.horizon}")
         if self.n_steps < 1:
             raise ConfigError(f"need at least one time step, got {self.n_steps}")

@@ -97,7 +97,7 @@ class MgritOptions:
                               f"expected one of {GUESS_KINDS}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.divergence_threshold <= 0.0:
+        if not 0.0 < self.divergence_threshold < np.inf:
             raise ConfigError("divergence threshold must be positive")
         if self.parallelism < 1:
             raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")

@@ -1,4 +1,4 @@
-"""Per-thread scratch buffers for the Runge-Kutta/WENO path.
+"""Per-thread scratch buffers of the Runge-Kutta/WENO and matched steps.
 
 A batched step of the WENO/RK operators needs megabytes of temporaries:
 gathered and projected windows, eigenvector matrices, interface sides and
@@ -11,10 +11,11 @@ The store keeps one flat float64 (or bool) array per buffer name, grown to
 the largest request seen and never shrunk, and hands out views of it at the
 exact shape asked for. A function asks for all of its buffers at once, by a
 layout function and a hashable key: layout(key) gives the (name, shape) or
-(name, shape, dtype) of each buffer, and the tuple of views is cached under
-(layout, key), so a call at a shape seen before costs one dictionary
-lookup. Growing an array drops every cached view, since views of the
-replaced array would no longer share memory with the others.
+(name, shape, dtype) of each buffer, and the tuple of views, or what an
+optional build function makes of it, is cached under (layout, key, build),
+so a call at a shape seen before costs one dictionary lookup. Growing an
+array drops every cached view, since views of the replaced array would no
+longer share memory with the others.
 
 Buffers live until the thread ends. Their contents live only until the next
 request for the same name: a function may hold its views while it runs and
@@ -38,14 +39,14 @@ import numpy as np
 class _Store(threading.local):
     def __init__(self):
         self.arrays = {}  # name -> flat array
-        self.views = {}   # (layout, key) -> tuple of views
+        self.views = {}   # (layout, key, build) -> views or build(*views)
 
 
 _store = _Store()
 
 
-def buffers(layout, key) -> tuple:
-    """Views of this thread's buffers at the shapes layout(key) gives.
+def buffers(layout, key, build=None) -> tuple:
+    """Views of this thread's buffers shaped by layout(key), or build(*views).
 
     Entries of one layout that share a name are laid out one after another
     in that name's array, so functions that never run at once can take
@@ -53,7 +54,7 @@ def buffers(layout, key) -> tuple:
     """
     store = _store
     try:
-        return store.views[layout, key]
+        return store.views[layout, key, build]
     except KeyError:
         pass
     entries = [(name, shape, np.dtype(dtype[0] if dtype else float))
@@ -73,8 +74,8 @@ def buffers(layout, key) -> tuple:
         start = offsets[name]
         offsets[name] = start + math.prod(shape)
         views.append(store.arrays[name][start:offsets[name]].reshape(shape))
-    views = tuple(views)
-    store.views[layout, key] = views
+    views = tuple(views) if build is None else build(*views)
+    store.views[layout, key, build] = views
     return views
 
 

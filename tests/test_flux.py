@@ -4,6 +4,7 @@ import pytest
 
 from mgritlab import (
     ConfigError,
+    DimensionError,
     FluxConfig,
     PhysicalStateError,
     SemiDiscreteOperator,
@@ -96,6 +97,20 @@ def test_lf_flux_hand_value():
         1.5, abs=1e-15)
     assert lf_flux(model, _sides(left, right), 0.0)[0, 0] == pytest.approx(
         0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_wrong_component_count_raises_dimension_error(kind, batch):
+    # positive states of one component too many or too few: the shape
+    # check, not the physics, must reject them
+    model = make_model(kind)
+    for n_components in {model.n_components - 1, model.n_components + 1} - {0}:
+        states = np.ones(batch + (n_components, 8))
+        with pytest.raises(DimensionError, match=model.kind):
+            model.flux(states)
+        with pytest.raises(DimensionError, match=model.kind):
+            lf_flux(model, _sides(states, states), 1.0)
 
 
 # ----------------------------------------------------------------------

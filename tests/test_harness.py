@@ -11,9 +11,15 @@ import pytest
 from mgritlab import (
     ConfigError,
     ConvergenceTable,
+    Euler,
     ExperimentConfig,
+    MgritOptions,
     ParseError,
+    RungeKuttaStepper,
+    ShallowWater,
     SpatialGrid,
+    TemporalGrid,
+    WenoConfig,
     apply_sweep_value,
     assemble_table,
     emit_csv,
@@ -265,8 +271,8 @@ def test_parse_bad_key_text_names_value_line_and_key(key, line, detail):
 @pytest.mark.parametrize("key", ["horizon", "length", "epsilon", "gamma",
                                  "gravity", "divergence_threshold"])
 def test_parse_rejects_non_finite_float_values(key, raw):
-    # every range check is x <= 0, which nan passes, and with a nan
-    # divergence threshold no run would ever be flagged as diverging
+    # the parser names the line and key; the constructors reject these
+    # values too (test_constructors_reject_non_finite_values)
     lines = _key_lines({key: f"{key} = {raw}"})
     lineno = list(lines).index(key) + 1
     with pytest.raises(ParseError) as info:
@@ -274,6 +280,35 @@ def test_parse_rejects_non_finite_float_values(key, raw):
     assert (info.value.line, info.value.key) == (lineno, key)
     assert str(info.value) == (f"bad value '{raw}': not a finite number: "
                                f"'{raw}' (line {lineno}, key '{key}')")
+
+
+_CONSTRUCTORS = {
+    "MgritOptions": (lambda x: MgritOptions(n_levels=2,
+                                            divergence_threshold=x),
+                     "divergence threshold must be positive"),
+    "WenoConfig": (lambda x: WenoConfig(epsilon=x),
+                   "epsilon must be positive"),
+    "SpatialGrid": (lambda x: SpatialGrid(x, 8),
+                    "domain length must be positive"),
+    "TemporalGrid": (lambda x: TemporalGrid(x, 8),
+                     "time horizon must be positive"),
+    "ShallowWater": (lambda x: ShallowWater(gravity=x),
+                     "gravity must be positive"),
+    "Euler": (lambda x: Euler(gamma=x), "gamma must exceed 1"),
+    "RungeKuttaStepper": (lambda x: RungeKuttaStepper(lambda v: v, x, 1),
+                          "time step must be positive"),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_constructors_reject_non_finite_values(name, value):
+    # a check written x <= 0 lets nan through: a nan divergence threshold
+    # would never flag a diverging run built through the Python API
+    build, message = _CONSTRUCTORS[name]
+    with pytest.raises(ConfigError) as info:
+        build(value)
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("key,raw,message", [

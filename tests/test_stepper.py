@@ -1,4 +1,7 @@
 """Runge-Kutta steppers and the matched coarse-step family."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from mgritlab import (
     FluxConfig,
     MatchedLFCoarse,
     MatchedLFFine,
+    MgritHierarchy,
+    MgritOptions,
     RungeKuttaStepper,
     SemiDiscreteOperator,
     SpatialGrid,
@@ -23,6 +28,7 @@ from mgritlab import (
     step_ssprk2,
     step_ssprk3,
 )
+from mgritlab import scratch, stepper as stepper_module
 from mgritlab.harness import build_steppers
 from mgritlab.stepper import (BLOCK_CELLS, _average, _difference,
                               _periodic_pad, lf_expansion)
@@ -361,11 +367,117 @@ def test_stencil_helpers_match_rolled_formulas():
 
 @pytest.mark.parametrize("kind", ["fine", "rediscretized", "order-0",
                                   "order-1"])
-@pytest.mark.parametrize("shape", [(8,), (2, 8), (4, 3, 8)])
+@pytest.mark.parametrize("shape", [(8,), (2, 8), (4, 3, 8), (1, 2, 8)])
 def test_matched_family_rejects_wrong_shapes(kind, shape):
     stepper = _matched_stepper(kind, 8, 0.01, 4)
     with pytest.raises(DimensionError):
         stepper.advance(np.zeros(shape))
+
+
+# ----------------------------------------------------------------------
+# the one-state order-1 path: a single (1, N) state, powers first
+# ----------------------------------------------------------------------
+
+_ONE_STATE_CASES = [(n_cells, m) for n_cells in (96, 128)
+                    for m in (2, 7, 64, 130)]
+
+
+def _one_state_steps(n_cells, m, seed, n_steps=1):
+    """An order-1 matched stepper, and n_steps one-state inputs."""
+    stepper = _matched_stepper("order-1", n_cells, 0.2 / n_cells, m)
+    rng = np.random.default_rng(seed)
+    return stepper, [rng.uniform(-2.0, 2.0, size=(1, n_cells))
+                     for _ in range(n_steps)]
+
+
+@pytest.mark.parametrize("n_cells,m", _ONE_STATE_CASES)
+def test_one_state_path_bitwise_equals_batch_kernel(n_cells, m):
+    # m = 130 pads the grid by more than its own width
+    stepper, (u,) = _one_state_steps(n_cells, m, seed=n_cells + m)
+    out = stepper.advance(u)
+    assert out.shape == u.shape
+    assert out.tobytes() == stepper.advance(u[None])[0].tobytes()
+    # a strided view of the same state takes the same path
+    wide = np.repeat(u, 2, axis=-1)
+    assert stepper.advance(wide[..., ::2]).tobytes() == out.tobytes()
+    # other dtypes keep the batch kernel's arithmetic
+    single = u.astype(np.float32)
+    assert stepper.advance(single).tobytes() == \
+        stepper.advance(single[None])[0].tobytes()
+
+
+@pytest.mark.parametrize("n_cells,m", [(96, 7), (128, 64), (96, 130)])
+def test_one_state_path_overwrites_poisoned_buffers(n_cells, m):
+    # every cell the flux and slope pass reads must hold a value this call
+    # wrote: nan and infinities left in the buffers raise under
+    # errstate(all="raise") (inf - inf) or change the bits
+    stepper, (u,) = _one_state_steps(n_cells, m, seed=m)
+    expected = stepper.advance(u[None])[0]
+    stepper.advance(u)
+    for array in scratch._store.arrays.values():
+        if array.dtype == float:
+            array[...] = np.resize([np.nan, np.inf, -np.inf], array.size)
+    with np.errstate(all="raise"):
+        out = stepper.advance(u)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_one_state_path_is_thread_safe():
+    # two steppers of different m take the same scratch names at other
+    # shapes; run side by side, each in its own thread, they must give the
+    # bits of the same steps run in one thread
+    cases = [_one_state_steps(128, m, seed=m, n_steps=40) for m in (7, 64)]
+    expected = [[stepper.advance(u) for u in inputs]
+                for stepper, inputs in cases]
+    results = [None, None]
+    start = threading.Barrier(2, timeout=60.0)
+
+    def run(index):
+        stepper, inputs = cases[index]
+        start.wait()
+        results[index] = [stepper.advance(u) for u in inputs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for got, want in zip(results, expected):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_coarse_solve_takes_the_one_state_path(monkeypatch):
+    config = ExperimentConfig(problem="burgers", ic="sin-stationary",
+                              horizon=0.4, n_x=16, n_t=16, n_levels=3,
+                              stepper=("matched-lf",), coarse="matched-1")
+    model, grid = _burgers_grid(16)
+    time_grid = TemporalGrid(config.horizon, config.n_t)
+    steppers = build_steppers(config, model, grid, time_grid)
+    u0 = np.sin(2 * np.pi * grid.cell_centers())[None, :]
+    hierarchy = MgritHierarchy(steppers, u0, time_grid, grid,
+                               MgritOptions(n_levels=3))
+    coarsest = hierarchy.levels[-1]
+    coarsest.u[0] = u0
+    calls = []
+    kernel = stepper_module._one_state_order1
+
+    def spy(model, u, dx, step, m):
+        calls.append((u.shape, m))
+        return kernel(model, u, dx, step, m)
+
+    monkeypatch.setattr(stepper_module, "_one_state_order1", spy)
+    hierarchy.coarse_solve()
+    assert calls == [((1, 16), 4)] * coarsest.n_intervals
+    state = u0
+    for i in range(1, coarsest.n_intervals + 1):
+        state = steppers[-1].advance(state[None])[0] + coarsest.g[i]
+        assert coarsest.u[i].tobytes() == state.tobytes()
 
 
 # ----------------------------------------------------------------------
