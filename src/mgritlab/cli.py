@@ -19,8 +19,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None,
                         help="output CSV path (default: config name .csv)")
     parser.add_argument("--parallelism", type=int, default=None,
-                        help="slices per chunk update, run on at most "
-                             "one worker thread per core")
+                        help="worker threads per chunk update, at most "
+                             "one per core")
     parser.add_argument("--max-iters", type=int, default=None,
                         help="override the config's iteration count")
 

@@ -11,8 +11,8 @@ Relaxation sweeps run chunkwise: F-relaxation recomputes the nodes strictly
 between consecutive coarse nodes from the coarse node on their left;
 C-relaxation recomputes each coarse node from its left neighbour. Chunks
 never read what another chunk writes, so they advance as one batched
-operation, and a parallelism degree only slices that batch across worker
-threads, at most one per core; results are bitwise identical for any
+operation. A parallelism degree p runs min(p, cores) worker threads, and
+each takes one slice of that batch; results are bitwise identical for any
 degree. A sweep reads and writes every m-th node through strided views of
 the level's arrays and hands each stepper a contiguous copy of the states
 it advances.
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -147,12 +148,6 @@ def _rows_repeat_first(rows: np.ndarray) -> bool:
     return bool((bits[1:] == bits[0]).all())
 
 
-def _chunk_slices(n_items: int, parts: int):
-    parts = max(1, min(parts, n_items))
-    bounds = [n_items * p // parts for p in range(parts + 1)]
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
 class MgritHierarchy:
     """Owns the per-level arrays and runs cycles over them."""
 
@@ -192,12 +187,15 @@ class MgritHierarchy:
         # residual_norm's finest-level residual, zero at F-points; made on
         # first use
         self._residual = None
+        # worker threads, each taking one slice of a batched phase; the
+        # pool is mgrit_solve's, made for this many
+        self.workers = min(options.parallelism, os.cpu_count() or 1)
         self._executor = None
 
     # -- parallel plumbing ------------------------------------------------
 
     def _apply(self, work, n_items: int) -> None:
-        """Run work(slice) over n_items, split across worker threads; a
+        """Run work(slice) over n_items, one slice per worker thread; a
         physical-state error names its batch position within n_items."""
         def guarded(sl):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -212,9 +210,10 @@ class MgritHierarchy:
         if self._executor is None or n_items < 2:
             guarded(slice(0, n_items))
             return
-        slices = _chunk_slices(n_items, self.options.parallelism)
+        parts = min(self.workers, n_items)
+        bounds = [n_items * p // parts for p in range(parts + 1)]
         # list() re-raises the first worker exception in this thread
-        list(self._executor.map(guarded, slices))
+        list(self._executor.map(guarded, map(slice, bounds, bounds[1:])))
 
     def _invalidate(self, l: int) -> None:
         """Level l's u or g is about to change."""
@@ -412,13 +411,10 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
     errors[0] = current_error()
     residuals[0] = hierarchy.residual_norm()
 
-    executor = None
-    try:
-        if options.parallelism > 1:
-            # slices follow parallelism, threads stop at the core count
-            executor = ThreadPoolExecutor(
-                max_workers=min(options.parallelism, os.cpu_count() or 1))
-            hierarchy._executor = executor
+    workers = hierarchy.workers
+    with (ThreadPoolExecutor(workers) if workers > 1
+          else nullcontext()) as executor:
+        hierarchy._executor = executor
         for it in range(1, n_rows):
             try:
                 hierarchy.run_cycle()
@@ -439,10 +435,6 @@ def mgrit_solve(steppers: Sequence, initial_state: np.ndarray,
                 break
             errors[it] = err
             residuals[it] = resid
-    finally:
-        hierarchy._executor = None
-        if executor is not None:
-            executor.shutdown(wait=True)
 
     record = ConvergenceRecord(errors=errors, residuals=residuals,
                                diverged=cause is not None,

@@ -26,7 +26,8 @@ of its own, as every other public function of the package does.
 
 There is one store per thread, because MGRIT's worker threads run one
 stepper on several slices of a batch at once; each store is shared by every
-operator, level and model that runs in its thread.
+operator, level and model that runs in its thread. Each of w workers takes
+one slice, so its buffers are sized for about 1/w of a level's batch.
 """
 from __future__ import annotations
 

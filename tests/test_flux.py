@@ -273,6 +273,25 @@ def test_roe_terms_bitwise_equal_separate_side_calls(kind, batch):
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])
+def test_interface_kernels_check_the_shape_once(monkeypatch, kind):
+    model = make_model(kind)
+    check, checked = model._check_shape, []
+
+    def counted(u):
+        checked.append(u.shape)
+        check(u)
+
+    monkeypatch.setattr(model, "_check_shape", counted)
+    rng = np.random.default_rng(43)
+    sides = _sides(_admissible(model, rng, (3, 16)),
+                   _admissible(model, rng, (3, 16)))
+    lf_flux(model, sides, 1.0)
+    assert len(checked) == 1, checked
+    model.roe_terms(sides)
+    assert len(checked) == 2, checked
+
+
 _PATHS = {
     "roe_flux": lambda model, sides: roe_flux(model, sides),
     "lf_alpha": lambda model, sides: lf_alpha(model, sides),

@@ -867,11 +867,13 @@ class Drained:
 
 @pytest.mark.parametrize("parallelism", [1, 3])
 def test_physical_state_error_names_batch_position_within_the_level(
-        parallelism):
+        monkeypatch, parallelism):
     # a still Euler gas loses density 0.052 a step; the unchecked coarse
     # solve drives coarse node 10 (fine node 20) below zero, and the F-
     # relaxation after interpolation meets it at position 10 of its 24
-    # C-points, which p = 3 puts at position 2 of the worker's slice
+    # C-points, which p = 3 on 3 cores puts at position 2 of the second
+    # worker's slice [8, 16)
+    monkeypatch.setattr(mgrit_module.os, "cpu_count", lambda: 3)
     model = make_model("euler")
     sgrid = SpatialGrid(1.0, 32)
     tgrid = TemporalGrid(0.048, 48)
@@ -901,3 +903,48 @@ def test_worker_threads_stop_at_the_core_count():
     options = MgritOptions(n_levels=3, m=2, max_iters=2, parallelism=16)
     mgrit_solve([Watched(s) for s in steppers], u0, tgrid, sgrid, options)
     assert 1 < len(seen) and max(seen) <= 1 + (os.cpu_count() or 1), seen
+
+
+def test_each_worker_thread_takes_one_slice_on_any_core_count(monkeypatch):
+    # on 3 cores p = 8 runs 3 worker threads, and every batched phase
+    # makes one stepper call per thread, not one per unit of parallelism
+    monkeypatch.setattr(mgrit_module.os, "cpu_count", lambda: 3)
+    model, sgrid, tgrid, steppers, u0, serial = _burgers_setup(n_t=64)
+    calls, phases = [], []
+
+    class Logged:
+        def __init__(self, inner, level):
+            self.inner, self.dt, self.level = inner, inner.dt, level
+
+        def advance(self, u):
+            calls.append((self.level, threading.get_ident(),
+                          threading.active_count()))
+            return self.inner.advance(u)
+
+    class Phased(MgritHierarchy):
+        def _apply(self, work, n_items):
+            start = len(calls)
+            super()._apply(work, n_items)
+            phases.append(calls[start:])
+
+    def solve(p):
+        options = MgritOptions(n_levels=3, m=2, max_iters=3, parallelism=p)
+        return mgrit_solve([Logged(s, l) for l, s in enumerate(steppers)],
+                           u0, tgrid, sgrid, options,
+                           reference=serial.trajectory.values)
+
+    base_traj, base_rec = solve(1)
+    monkeypatch.setattr(mgrit_module, "MgritHierarchy", Phased)
+    traj, rec = solve(8)
+    assert phases
+    for phase in phases:
+        per_level = {}
+        for level, _, _ in phase:
+            per_level[level] = per_level.get(level, 0) + 1
+        assert set(per_level.values()) == {3}, phase
+    workers = {ident for phase in phases for _, ident, _ in phase}
+    assert len(workers) <= 3, workers
+    assert max(active for phase in phases for _, _, active in phase) <= 4
+    assert np.array_equal(base_traj.values, traj.values)
+    assert np.array_equal(base_rec.errors, rec.errors, equal_nan=True)
+    assert np.array_equal(base_rec.residuals, rec.residuals, equal_nan=True)
