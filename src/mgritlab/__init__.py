@@ -25,9 +25,8 @@ from .models import (Burgers, ConservationModel, Euler, ShallowWater,
 from .serial import SerialRun, discretise_ic, solve_serial
 from .stepper import (ComposedStepper, MatchedLFCoarse, MatchedLFFine,
                       RungeKuttaStepper, step_fe, step_ssprk2, step_ssprk3)
-from .weno import (WenoTables, build_tables, nonlinear_weights,
-                   reconstruct_interface_states, reconstruct_left,
-                   reconstruct_pair)
+from .weno import (WenoTables, build_tables, reconstruct_interface_states,
+                   reconstruct_left, reconstruct_pair)
 
 __version__ = "0.1.0"
 

@@ -70,14 +70,17 @@ class FluxConfig:
                 f"unknown flux kind '{self.kind}', expected one of {FLUX_KINDS}")
 
 
+def _alpha_layout(shape):
+    return (("interface", shape[:-2] + shape[-1:]),)
+
+
 def lf_alpha(model: ConservationModel, sides: np.ndarray) -> np.ndarray:
     """Largest |eigenvalue| over all interfaces and both sides.
 
     Reduces the side, interface and component axes only, so each member of
     a batch of fields keeps its own dissipation speed; shape (...,).
     """
-    (speeds,) = scratch.arrays(("interface",),
-                               sides.shape[:-2] + sides.shape[-1:])
+    (speeds,) = scratch.buffers(_alpha_layout, sides.shape)
     on_stack(lambda stack: model.max_abs_speed(stack, out=speeds), sides)
     return np.max(speeds, axis=(0, -1))
 

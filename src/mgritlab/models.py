@@ -48,6 +48,20 @@ def on_stack(evaluate, stack: np.ndarray):
         raise PhysicalStateError(err.problem, err.index[1:]) from None
 
 
+def _hook_layout(prefix: str, names: str, interface_names: str = ""):
+    """A static method laying out a model hook's scratch buffers
+    prefix.name (see `scratch`), which the hook takes in one lookup and
+    passes to its helpers: names at the cells (..., N) of states of shape
+    (..., D, N), interface_names at the cells of shape[1:], the interfaces
+    of a (2, ..., D, N) stack of sides."""
+    def layout(shape):
+        groups = ((names, shape[:-2] + shape[-1:]),
+                  (interface_names, shape[1:-2] + shape[-1:]))
+        return tuple((f"{prefix}.{name}", cells) for group, cells in groups
+                     for name in group.split())
+    return staticmethod(layout)
+
+
 class ConservationModel:
     """Common interface; subclasses fill in the physics.
 
@@ -167,35 +181,35 @@ class ShallowWater(ConservationModel):
 
     kind = "shallow-water"
     n_components = 2
+    _flux_layout = _hook_layout("sw", "vel pressure")
+    _speed_layout = _hook_layout("sw", "vel c")
+    _eigen_layout = _hook_layout("sw", "vel c inv2c")
+    _roe_layout = _hook_layout("sw", "vel c root weighted pressure",
+                               "h_hat u_hat total c_hat inv2c")
 
     def __init__(self, gravity: float = DEFAULT_GRAVITY):
         if not 0.0 < gravity < np.inf:
             raise ConfigError(f"gravity must be positive, got {gravity}")
         self.gravity = gravity
 
-    # The private methods keep their temporaries in this thread's scratch
-    # buffers (see `scratch`), each named after its role; a method's
-    # results may be buffers that the next call of the same method reuses.
-
-    def _depth_velocity(self, u):
+    def _depth_velocity(self, u, vel):
+        """The depth h, with u's velocity written into vel."""
         h = u[..., 0, :]
         bad = h <= 0.0
         if bad.any():
             _reject("non-positive depth", bad)
-        (vel,) = scratch.arrays(("sw.vel",), h.shape)
-        return h, np.divide(u[..., 1, :], h, out=vel)
+        np.divide(u[..., 1, :], h, out=vel)
+        return h
 
-    def _celerity(self, h):
-        """sqrt(g h), a buffer that the next call reuses."""
-        (c,) = scratch.arrays(("sw.c",), h.shape)
+    def _celerity(self, h, c):
+        """sqrt(g h), written into c."""
         return np.sqrt(np.multiply(self.gravity, h, out=c), out=c)
 
-    def _flux_from(self, u, h, vel, out):
+    def _flux_from(self, u, h, vel, pressure, out):
         out[..., 0, :] = u[..., 1, :]
         momentum = out[..., 1, :]
         np.multiply(h, vel, out=momentum)
         np.multiply(momentum, vel, out=momentum)
-        (pressure,) = scratch.arrays(("sw.pressure",), h.shape)
         np.multiply(0.5 * self.gravity, h, out=pressure)
         np.multiply(pressure, h, out=pressure)
         np.add(momentum, pressure, out=momentum)
@@ -208,19 +222,21 @@ class ShallowWater(ConservationModel):
         return out
 
     def _flux_into(self, u, out):
-        return self._flux_from(u, *self._depth_velocity(u), out)
+        vel, pressure = scratch.buffers(self._flux_layout, u.shape)
+        h = self._depth_velocity(u, vel)
+        return self._flux_from(u, h, vel, pressure, out)
 
     def _max_abs_speed_into(self, u, out):
-        h, vel = self._depth_velocity(u)
+        vel, c = scratch.buffers(self._speed_layout, u.shape)
+        h = self._depth_velocity(u, vel)
         np.abs(vel, out=out)
-        return np.add(out, self._celerity(h), out=out)
+        return np.add(out, self._celerity(h, c), out=out)
 
-    def _eigen_from(self, vel, c, lam, right, left):
+    def _eigen_from(self, vel, c, lam, right, left, inv2c):
         self._values_into(vel, c, lam)
         right[..., 0, :] = 1.0
         right[..., 1, :] = lam
         # closed-form inverse of [[1, 1], [u-c, u+c]]
-        (inv2c,) = scratch.arrays(("sw.inv2c",), c.shape)
         np.divide(0.5, c, out=inv2c)
         np.multiply(lam[..., 1], inv2c, out=left[..., 0, 0])
         np.negative(inv2c, out=left[..., 0, 1])
@@ -229,24 +245,24 @@ class ShallowWater(ConservationModel):
         left[..., 1, 1] = inv2c
 
     def _eigen_cells_into(self, u, values, right, left):
-        h, vel = self._depth_velocity(u)
-        self._eigen_from(vel, self._celerity(h), values, right, left)
+        vel, c, inv2c = scratch.buffers(self._eigen_layout, u.shape)
+        h = self._depth_velocity(u, vel)
+        self._eigen_from(vel, self._celerity(h, c), values, right, left, inv2c)
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
-        h, vel = on_stack(self._depth_velocity, sides)
-        self._values_into(vel, self._celerity(h), values)
-        root, weighted = scratch.arrays(("sw.root", "sw.weighted"), h.shape)
+        (vel, c, root, weighted, pressure, h_hat, u_hat, total, c_hat,
+         inv2c) = scratch.buffers(self._roe_layout, sides.shape)
+        h = on_stack(lambda stack: self._depth_velocity(stack, vel), sides)
+        self._values_into(vel, self._celerity(h, c), values)
         np.sqrt(h, out=root)
         np.multiply(root, vel, out=weighted)
-        h_hat, u_hat, total = scratch.arrays(
-            ("sw.h_hat", "sw.u_hat", "sw.total"), h.shape[1:])
         np.multiply(0.5, np.add(h[0], h[1], out=h_hat), out=h_hat)
         np.add(weighted[0], weighted[1], out=u_hat)
         np.divide(u_hat, np.add(root[0], root[1], out=total), out=u_hat)
-        self._flux_from(sides, h, vel, fluxes)
-        self._eigen_from(u_hat, self._celerity(h_hat), roe_values, right,
-                         left)
+        self._flux_from(sides, h, vel, pressure, fluxes)
+        self._eigen_from(u_hat, self._celerity(h_hat, c_hat), roe_values,
+                         right, left, inv2c)
 
 
 class Euler(ConservationModel):
@@ -254,22 +270,25 @@ class Euler(ConservationModel):
 
     kind = "euler"
     n_components = 3
+    _EIGEN = "vel_c inv_c b1 b2 b1_vel vel_inv_c"  # _eigen_from's own
+    _flux_layout = _hook_layout("euler", "vel p")
+    _speed_layout = _hook_layout("euler", "vel p c")
+    _eigen_layout = _hook_layout("euler", "vel p c enthalpy " + _EIGEN)
+    _roe_layout = _hook_layout(
+        "euler", "vel p c root weighted_vel weighted_enthalpy",
+        "total u_hat h_hat c_hat " + _EIGEN)
 
     def __init__(self, gamma: float = DEFAULT_GAMMA):
         if not 1.0 < gamma < np.inf:
             raise ConfigError(f"gamma must exceed 1, got {gamma}")
         self.gamma = gamma
 
-    # The private methods keep their temporaries in this thread's scratch
-    # buffers (see `scratch`), each named after its role; a method's
-    # results may be buffers that the next call of the same method reuses.
-
-    def _primitives(self, u):
+    def _primitives(self, u, vel, p):
+        """rho, with u's velocity and pressure written into vel and p."""
         rho = u[..., 0, :]
         bad = rho <= 0.0
         if bad.any():
             _reject("non-positive density", bad)
-        vel, p = scratch.arrays(("euler.vel", "euler.p"), rho.shape)
         np.divide(u[..., 1, :], rho, out=vel)
         # (gamma - 1) (E - 0.5 rho u u)
         np.multiply(0.5, rho, out=p)
@@ -280,7 +299,7 @@ class Euler(ConservationModel):
         bad = p <= 0.0
         if bad.any():
             _reject("non-positive pressure", bad)
-        return rho, vel, p
+        return rho
 
     @staticmethod
     def _flux_from(u, vel, p, out):
@@ -291,9 +310,8 @@ class Euler(ConservationModel):
         np.multiply(out[..., 2, :], vel, out=out[..., 2, :])
         return out
 
-    def _sound_speed(self, rho, p):
-        """sqrt(gamma p / rho), a buffer that the next call reuses."""
-        (c,) = scratch.arrays(("euler.c",), p.shape)
+    def _sound_speed(self, rho, p, c):
+        """sqrt(gamma p / rho), written into c."""
         np.multiply(self.gamma, p, out=c)
         return np.sqrt(np.divide(c, rho, out=c), out=c)
 
@@ -305,17 +323,19 @@ class Euler(ConservationModel):
         return out
 
     def _flux_into(self, u, out):
-        _, vel, p = self._primitives(u)
+        vel, p = scratch.buffers(self._flux_layout, u.shape)
+        self._primitives(u, vel, p)
         return self._flux_from(u, vel, p, out)
 
     def _max_abs_speed_into(self, u, out):
-        rho, vel, p = self._primitives(u)
+        vel, p, c = scratch.buffers(self._speed_layout, u.shape)
+        rho = self._primitives(u, vel, p)
         np.abs(vel, out=out)
-        return np.add(out, self._sound_speed(rho, p), out=out)
+        return np.add(out, self._sound_speed(rho, p, c), out=out)
 
-    def _eigen_from(self, vel, c, enthalpy, lam, right, left):
+    def _eigen_from(self, vel, c, enthalpy, lam, right, left, work):
         """Eigenvalues and right/left eigenvector matrices from u, c and H,
-        written into lam, right and left.
+        written into lam, right and left; work holds _EIGEN's temporaries.
 
         The left eigenvectors are the closed-form dual basis (Toro, Riemann
         Solvers and Numerical Methods for Fluid Dynamics): with
@@ -326,9 +346,7 @@ class Euler(ConservationModel):
         which needs c^2 = (gamma-1)(H - u^2/2); that holds for cell states
         and for the Roe average alike.
         """
-        vel_c, inv_c, b1, b2, b1_vel, vel_inv_c = scratch.arrays(
-            ("euler.vel_c", "euler.inv_c", "euler.b1", "euler.b2",
-             "euler.b1_vel", "euler.vel_inv_c"), vel.shape)
+        vel_c, inv_c, b1, b2, b1_vel, vel_inv_c = work
         self._values_into(vel, c, lam)
         right[..., 0, :] = 1.0
         right[..., 1, :] = lam
@@ -359,28 +377,25 @@ class Euler(ConservationModel):
         left[..., 2, 2] = left[..., 0, 2]
 
     def _eigen_cells_into(self, u, values, right, left):
-        rho, vel, p = self._primitives(u)
-        (enthalpy,) = scratch.arrays(("euler.enthalpy",), rho.shape)
+        vel, p, c, enthalpy, *work = scratch.buffers(self._eigen_layout,
+                                                     u.shape)
+        rho = self._primitives(u, vel, p)
         np.divide(np.add(u[..., 2, :], p, out=enthalpy), rho, out=enthalpy)
-        self._eigen_from(vel, self._sound_speed(rho, p), enthalpy, values,
-                         right, left)
+        self._eigen_from(vel, self._sound_speed(rho, p, c), enthalpy, values,
+                         right, left, work)
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
-        rho, vel, p = on_stack(self._primitives, sides)
-        self._values_into(vel, self._sound_speed(rho, p), values)
-        root, weighted_vel, weighted_enthalpy = scratch.arrays(
-            ("euler.root", "euler.weighted_vel", "euler.weighted_enthalpy"),
-            rho.shape)
+        (vel, p, c, root, weighted_vel, weighted_enthalpy, total, u_hat, h_hat,
+         c_hat, *work) = scratch.buffers(self._roe_layout, sides.shape)
+        rho = on_stack(lambda stack: self._primitives(stack, vel, p), sides)
+        self._values_into(vel, self._sound_speed(rho, p, c), values)
         np.sqrt(rho, out=root)
         np.multiply(root, vel, out=weighted_vel)
         # root ((E + p) / rho)
         np.add(sides[..., 2, :], p, out=weighted_enthalpy)
         np.divide(weighted_enthalpy, rho, out=weighted_enthalpy)
         np.multiply(root, weighted_enthalpy, out=weighted_enthalpy)
-        total, u_hat, h_hat, c_hat = scratch.arrays(
-            ("euler.total", "euler.u_hat", "euler.h_hat", "euler.c_hat"),
-            rho.shape[1:])
         np.add(root[0], root[1], out=total)
         np.add(weighted_vel[0], weighted_vel[1], out=u_hat)
         np.divide(u_hat, total, out=u_hat)
@@ -396,7 +411,7 @@ class Euler(ConservationModel):
             _reject("Roe average loses hyperbolicity", bad)
         self._flux_from(sides, vel, p, fluxes)
         self._eigen_from(u_hat, np.sqrt(c_hat, out=c_hat), h_hat, roe_values,
-                         right, left)
+                         right, left, work)
 
 
 _MODEL_KINDS = {

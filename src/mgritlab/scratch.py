@@ -9,8 +9,10 @@ here instead.
 
 The store keeps one flat float64 (or bool) array per buffer name, grown to
 the largest request seen and never shrunk, and hands out views of it at the
-exact shape asked for. A function asks for all of its buffers at once, by a
-layout function and a hashable key: layout(key) gives the (name, shape) or
+exact shape asked for. `buffers` is its only entry point, and each kernel
+call makes one lookup: it asks for every temporary of itself and of the
+helpers it calls, by a layout function and a hashable key, and passes the
+helpers their buffers as arguments. layout(key) gives the (name, shape) or
 (name, shape, dtype) of each buffer, and the tuple of views, or what an
 optional build function makes of it, is cached under (layout, key, build),
 so a call at a shape seen before costs one dictionary lookup. Growing an
@@ -18,11 +20,11 @@ array drops every cached view, since views of the replaced array would no
 longer share memory with the others.
 
 Buffers live until the thread ends. Their contents live only until the next
-request for the same name: a function may hold its views while it runs and
-calls others, as long as no two functions active at once use one name, and
-nothing that outlives the call may be a view of a buffer. A kernel writes
-into the buffers it is passed as its `out`, and otherwise returns arrays
-of its own, as every other public function of the package does.
+request for the same name: a kernel may hold its views while it runs and
+calls other kernels, as long as no two kernels active at once use one name,
+and nothing that outlives the call may be a view of a buffer. A kernel
+writes into the buffers it is passed as its `out`, and otherwise returns
+arrays of its own, as every other public function of the package does.
 
 There is one store per thread, because MGRIT's worker threads run one
 stepper on several slices of a batch at once; each store is shared by every
@@ -79,12 +81,3 @@ def buffers(layout, key, build=None) -> tuple:
     store.views[layout, key, build] = views
     return views
 
-
-def _one_shape(key):
-    names, shape = key
-    return tuple((name, shape) for name in names)
-
-
-def arrays(names: tuple, shape: tuple) -> tuple:
-    """buffers() of one float shape, one for each of the given names."""
-    return buffers(_one_shape, (names, shape))

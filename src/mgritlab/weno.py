@@ -208,33 +208,21 @@ def _check_window(tables: WenoTables, window: np.ndarray) -> np.ndarray:
     return window
 
 
-def _rows_layout(key):
-    return (("weno.rows", key),)
-
-
 def _pair_layout(key):
     k, m = key
     pair = (2, k + 1, m)
-    return (("weno.diff0", (2 * k, m)), ("weno.diff1", (2 * k, m)),
-            ("weno.at", (k + 1,) + pair), ("weno.term", pair),
-            ("weno.beta", pair), ("weno.total", (2, m)))
+    return (("weno.rows", (2 * k + 1, m)), ("weno.diff0", (2 * k, m)),
+            ("weno.diff1", (2 * k, m)), ("weno.at", (k + 1,) + pair),
+            ("weno.term", pair), ("weno.beta", pair), ("weno.total", (2, m)))
 
 
-def _slot_major(tables: WenoTables, windows: np.ndarray) -> np.ndarray:
-    """(W, M) copy: row t holds slot t of each of the M windows."""
-    windows = windows.reshape(-1, tables.window)
-    (rows,) = scratch.buffers(_rows_layout, windows.shape[::-1])
-    np.copyto(rows, windows.T)
-    return rows
-
-
-def _pair_terms(tables: WenoTables, rows: np.ndarray):
+def _pair_terms(tables: WenoTables, rows, diff0, diff1, at, term, beta):
     """Candidate values and smoothness indicators of every stencil on both
     sides, each (2, k+1, M): [0, r] for stencil r of the window (toward
     its right interface), [1, r] for stencil r of the reversed window
-    (toward its left interface). rows is a (W, M) slot-major array. Both
-    are this thread's scratch buffers (see `scratch`), overwritten by the
-    next call.
+    (toward its left interface). rows is a (W, M) slot-major array; the
+    others are work arrays of _pair_layout's shapes, and the results are
+    at[0] and beta.
 
     The reversed window's Delta^j at its stencil r is (-1)^j Delta^j at
     slot k - j + r of the window, exactly (a - b == -(b - a)), so side 1
@@ -248,15 +236,13 @@ def _pair_terms(tables: WenoTables, rows: np.ndarray):
     # its size and alignment, and CSVs are byte-identical across
     # parallelism degrees, which batch the states differently).
     k = tables.k
-    *differences_out, at, term, beta, _ = scratch.buffers(
-        _pair_layout, (k, rows.shape[-1]))
     # at[j][side, r] is Delta^j q at the first cell of stencil r of side
     differences = rows
     for j, stencil_rows in enumerate(tables.stencil_rows):
         if j:
             differences = np.subtract(
                 differences[1:], differences[:-1],
-                out=differences_out[j % 2][:len(differences) - 1])
+                out=(diff0, diff1)[j % 2][:len(differences) - 1])
         np.take(differences, stencil_rows, axis=0, out=at[j], mode="clip")
     candidates = at[0]
     for e, delta in zip(tables.newton_candidates, at[1:]):
@@ -273,11 +259,9 @@ def _pair_terms(tables: WenoTables, rows: np.ndarray):
     return candidates, beta
 
 
-def _normalised_weights(tables: WenoTables, epsilon: float, beta):
-    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, M); overwrites beta."""
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    total = scratch.buffers(_pair_layout, (tables.k, beta.shape[-1]))[-1]
+def _normalised_weights(tables: WenoTables, epsilon: float, beta, total):
+    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, M), with total a
+    (2, M) work array; overwrites beta."""
     beta += epsilon
     beta *= beta
     raw = np.divide(tables.weights[:, None], beta, out=beta)
@@ -288,13 +272,15 @@ def _normalised_weights(tables: WenoTables, epsilon: float, beta):
     return raw
 
 
-def nonlinear_weights(tables: WenoTables, epsilon: float,
-                      window: np.ndarray) -> np.ndarray:
-    """Normalised weights omega_r = (d_r/(eps+beta_r)^2) / sum; (..., k+1)."""
-    window = _check_window(tables, window)
-    _, beta = _pair_terms(tables, _slot_major(tables, window))
-    omega = _normalised_weights(tables, epsilon, beta)[0]  # the window's side
-    return omega.T.reshape(window.shape[:-1] + (tables.k + 1,)).copy()
+def _block_terms(tables: WenoTables, epsilon: float, columns: np.ndarray):
+    """Candidate values and normalised weights, each (2, k+1, M), of the M
+    windows of a (M, W) block, in this thread's scratch buffers of that
+    block (see `scratch`), taken in one lookup."""
+    rows, *work, total = scratch.buffers(_pair_layout,
+                                         (tables.k, len(columns)))
+    np.copyto(rows, columns.T)
+    candidates, beta = _pair_terms(tables, rows, *work)
+    return candidates, _normalised_weights(tables, epsilon, beta, total)
 
 
 # Windows per kernel block: the block's temporaries, a few dozen rows of
@@ -311,15 +297,18 @@ def reconstruct_pair(tables: WenoTables, epsilon: float, window: np.ndarray,
     window). Written into out, a C-contiguous array of that shape, if one
     is given."""
     window = _check_window(tables, window)
-    columns = window.reshape(-1, tables.window)
+    if epsilon <= 0.0:
+        raise ConfigError(f"epsilon must be positive, got {epsilon}")
+    shape = (2,) + window.shape[:-1]
     if out is None:
-        out = np.empty((2,) + window.shape[:-1])
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise DimensionError(f"out {out.shape} is not a C-contiguous {shape}")
+    columns = window.reshape(-1, tables.window)
     values = out.reshape(2, -1)
     for start in range(0, len(columns), BLOCK_WINDOWS):
         block = slice(start, start + BLOCK_WINDOWS)
-        candidates, beta = _pair_terms(tables,
-                                       _slot_major(tables, columns[block]))
-        omega = _normalised_weights(tables, epsilon, beta)
+        candidates, omega = _block_terms(tables, epsilon, columns[block])
         omega *= candidates
         value = values[:, block]
         value[...] = omega[:, 0]

@@ -1,12 +1,15 @@
 """The per-thread scratch buffers of the Runge-Kutta/WENO path: a step keeps
 the bits of the plain formulas, results do not depend on what ran before in
-the thread, results that callers keep are never buffers, and a warm batched
-step allocates almost nothing."""
+the thread, results that callers keep are never buffers, a warm batched
+step allocates almost nothing, and each kernel call takes its buffers in one
+lookup of the store's one entry point."""
+import inspect
 import sys
 import threading
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from mgritlab import (
     roe_flux,
 )
 from mgritlab import scratch
+from mgritlab.weno import BLOCK_WINDOWS
 
 N_CELLS = 16
 THREAD_TIMEOUT = 60.0
@@ -214,3 +218,61 @@ def test_warm_batched_step_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak < 4 * u.nbytes, peak
+
+
+def _lookups(monkeypatch):
+    """The keys of the scratch.buffers calls made from here on."""
+    keys, buffers = [], scratch.buffers
+
+    def spy(layout, key, build=None):
+        keys.append(key)
+        return buffers(layout, key, build)
+
+    monkeypatch.setattr(scratch, "buffers", spy)
+    return keys
+
+
+def test_buffers_is_the_one_entry_point():
+    public = [name for name, value in vars(scratch).items()
+              if inspect.isfunction(value) and not name.startswith("_")]
+    assert public == ["buffers"]
+
+
+@pytest.mark.parametrize("kind,flux,degree,lookups",
+                         [("euler", "roe", 2, 19),
+                          ("shallow-water", "lf", 1, 25)])
+def test_batch_one_step_lookups(monkeypatch, kind, flux, degree, lookups):
+    # the fine steppers of the benchmark's WENO workloads: one lookup for
+    # the Runge-Kutta stages, then per rhs one each for the rhs, the
+    # interface states, eigen_cells and the one reconstruction block, and
+    # for the flux: roe_flux and roe_terms, or lf_alpha, max_abs_speed,
+    # lf_flux and flux
+    stepper = _stepper(kind, flux, True, degree)
+    u = _states(kind, 0, (1,))
+    stepper.advance(u)
+    keys = _lookups(monkeypatch)
+    stepper.advance(u)
+    assert len(keys) == lookups, keys
+
+
+@pytest.mark.parametrize("kind", ["shallow-water", "euler"])
+def test_each_model_hook_call_makes_one_lookup(monkeypatch, kind):
+    model = make_model(kind)
+    field = _states(kind, 3, (2,))
+    sides = reconstruct_interface_states(model, field, build_tables(2), 1e-6)
+    keys = _lookups(monkeypatch)
+    for name, call in (("flux", lambda: model.flux(field)),
+                       ("max_abs_speed", lambda: model.max_abs_speed(field)),
+                       ("eigen_cells", lambda: model.eigen_cells(field)),
+                       ("roe_terms", lambda: model.roe_terms(sides))):
+        keys.clear()
+        call()
+        assert len(keys) == 1, (name, keys)
+
+
+def test_reconstruction_makes_one_lookup_per_block(monkeypatch):
+    tables = build_tables(2)
+    windows = np.random.default_rng(5).uniform(size=(2 * BLOCK_WINDOWS + 3, 5))
+    keys = _lookups(monkeypatch)
+    reconstruct_pair(tables, 1e-6, windows)
+    assert keys == [(2, BLOCK_WINDOWS), (2, BLOCK_WINDOWS), (2, 3)]

@@ -21,24 +21,43 @@ from mgritlab import (
     DimensionError,
     build_tables,
     make_model,
-    nonlinear_weights,
     reconstruct_interface_states,
     reconstruct_left,
 )
-from mgritlab.weno import (BLOCK_WINDOWS, _newton_candidate,
-                           _newton_sum_of_squares, _pair_terms,
+from mgritlab import scratch
+from mgritlab.weno import (BLOCK_WINDOWS, _block_terms, _newton_candidate,
+                           _newton_sum_of_squares, _pair_layout, _pair_terms,
                            _window_indices, reconstruct_pair)
 
 EPS = 1e-6
 
 
+def _pair_terms_of(tables, windows):
+    """The kernel's (candidates, beta), each (2, k+1, M), of M windows as
+    one block, in this thread's scratch buffers of that block."""
+    columns = np.asarray(windows, float).reshape(-1, tables.window)
+    rows, *work, _ = scratch.buffers(_pair_layout, (tables.k, len(columns)))
+    np.copyto(rows, columns.T)
+    return _pair_terms(tables, rows, *work)
+
+
+def _per_window(tables, window, terms):
+    """Side 0 of (2, k+1, M) block terms as a (..., k+1) array per window,
+    a copy: the terms are scratch buffers that the next block overwrites."""
+    shape = np.shape(window)[:-1] + (tables.k + 1,)
+    return terms[0].T.reshape(shape).copy()
+
+
 def smoothness_indicators(tables, window):
     """The kernel's beta_r of every candidate stencil; (..., k+1)."""
-    window = np.asarray(window, float)
-    rows = np.ascontiguousarray(window.reshape(-1, tables.window).T)
-    _, beta = _pair_terms(tables, rows)
-    # a copy: beta is a scratch buffer that the next call overwrites
-    return beta[0].T.reshape(window.shape[:-1] + (tables.k + 1,)).copy()
+    return _per_window(tables, window, _pair_terms_of(tables, window)[1])
+
+
+def nonlinear_weights(tables, epsilon, window):
+    """The kernel's normalised weights omega_r of each window; (..., k+1)."""
+    columns = np.asarray(window, float).reshape(-1, tables.window)
+    return _per_window(tables, window,
+                       _block_terms(tables, epsilon, columns)[1])
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +323,7 @@ def test_explicit_kernel_matches_exact_rational_tables(case):
     k, rows = case
     tables = build_tables(k)
     windows = np.array(rows)
-    candidates, betas = _pair_terms(tables, np.ascontiguousarray(windows.T))
+    candidates, betas = _pair_terms_of(tables, windows)
     for b, row in enumerate(rows):
         for side, ordered in enumerate((row, row[::-1])):
             q = [Fraction(v) for v in ordered]
@@ -376,10 +395,11 @@ def test_weights_are_convex_and_default_to_optimal_on_constants():
 
 def test_weights_reject_nonpositive_epsilon():
     tables = build_tables(1)
-    with pytest.raises(ConfigError):
-        nonlinear_weights(tables, 0.0, np.zeros(3))
-    with pytest.raises(ConfigError):
-        nonlinear_weights(tables, -1e-6, np.zeros(3))
+    for epsilon in (0.0, -1e-6):
+        with pytest.raises(ConfigError, match="epsilon must be positive"):
+            reconstruct_pair(tables, epsilon, np.zeros(3))
+        with pytest.raises(ConfigError, match="epsilon must be positive"):
+            reconstruct_pair(tables, epsilon, np.zeros((0, 3)))
 
 
 def test_weights_suppress_crossed_discontinuity():
@@ -448,7 +468,22 @@ def test_reconstruct_rejects_wrong_window_width():
     with pytest.raises(DimensionError):
         reconstruct_left(tables, EPS, np.zeros(3))
     with pytest.raises(DimensionError):
-        nonlinear_weights(tables, EPS, np.zeros((4, 7)))
+        reconstruct_pair(tables, EPS, np.zeros((4, 7)))
+
+
+def test_reconstruct_pair_rejects_an_out_it_cannot_fill():
+    # the values are written through out.reshape(2, -1), which copies a
+    # non-contiguous out and reshapes an out of the right size and wrong
+    # shape: either would come back holding nothing or the wrong layout
+    tables = build_tables(2)
+    window = np.random.default_rng(3).uniform(size=(3, 4, 5))
+    for out in (np.full((4, 3, 2), np.nan).transpose(2, 1, 0),
+                np.full((2, 12), np.nan), np.full((2, 4, 3), np.nan)):
+        with pytest.raises(DimensionError, match="C-contiguous"):
+            reconstruct_pair(tables, EPS, window, out=out)
+    out = np.full((2, 3, 4), np.nan)
+    assert reconstruct_pair(tables, EPS, window, out=out) is out
+    assert out.tobytes() == reconstruct_pair(tables, EPS, window).tobytes()
 
 
 def _sin_averages(n):
