@@ -28,7 +28,8 @@ import numpy as np
 from . import scratch
 from .errors import ConfigError
 from .grid import SpatialGrid
-from .models import ConservationModel, on_stack
+from .models import (_HALF, _ZERO, ConservationModel, _flux_outs, _operand,
+                     _roe_outs, _speed_outs, on_stack)
 from .weno import (DEFAULT_EPSILON, SUPPORTED_DEGREES, build_tables,
                    reconstruct_interface_states)
 
@@ -70,26 +71,31 @@ class FluxConfig:
                 f"unknown flux kind '{self.kind}', expected one of {FLUX_KINDS}")
 
 
-def _alpha_layout(shape):
-    return (("interface", shape[:-2] + shape[-1:]),)
-
-
 def lf_alpha(model: ConservationModel, sides: np.ndarray) -> np.ndarray:
     """Largest |eigenvalue| over all interfaces and both sides.
 
     Reduces the side, interface and component axes only, so each member of
     a batch of fields keeps its own dissipation speed; shape (...,).
     """
-    (speeds,) = scratch.buffers(_alpha_layout, sides.shape)
+    (speeds,) = scratch.buffers(_speed_outs, sides.shape)
     on_stack(lambda stack: model.max_abs_speed(stack, out=speeds), sides)
-    return np.max(speeds, axis=(0, -1))
+    return np.maximum.reduce(speeds, axis=(0, -1))
 
 
-# The flux's terms take the "interface" buffer, whose windows and values
-# the reconstruction is done with once the sides are made.
+# A flux kernel's sides and out lead its layout under the names that the
+# right-hand side keeps them by, and the model hook's outs follow; its own
+# terms then take the "interface" buffer, whose windows and values the
+# reconstruction is done with once the sides are made.
 
 def _lf_layout(shape):
-    return (("interface", shape), ("interface", shape[1:]))
+    return (("rhs.sides", shape), ("rhs.flux", shape[1:])) \
+        + _flux_outs(shape) + (("interface", shape[1:]),
+                               ("flux.alpha", shape[1:-2] + (1, 1)))
+
+
+def _lf_plan(sides, out, fluxes, jump, half_alpha):
+    return (sides[0], sides[1], out, fluxes, fluxes[0], fluxes[1], jump,
+            half_alpha, half_alpha.reshape(half_alpha.shape[:-2]))
 
 
 def lf_flux(model: ConservationModel, sides: np.ndarray, alpha,
@@ -99,13 +105,15 @@ def lf_flux(model: ConservationModel, sides: np.ndarray, alpha,
     model._check_shape(sides)
     if out is None:
         out = np.empty(sides.shape[1:])
-    fluxes, jump = scratch.buffers(_lf_layout, sides.shape)
+    (left, right, out, fluxes, left_flux, right_flux, jump, half_alpha,
+     half_alphas) = scratch.buffers(_lf_layout, sides.shape, _lf_plan, sides,
+                                    out)
     on_stack(lambda stack: model._flux_into(stack, fluxes), sides)
-    np.add(fluxes[0], fluxes[1], out=out)
-    np.multiply(0.5, out, out=out)
-    np.subtract(sides[1], sides[0], out=jump)
-    np.multiply(0.5 * np.asarray(alpha, float)[..., None, None], jump,
-                out=jump)
+    np.add(left_flux, right_flux, out=out)
+    np.multiply(_HALF, out, out=out)
+    np.subtract(right, left, out=jump)
+    np.multiply(_HALF, alpha, out=half_alphas)
+    np.multiply(half_alpha, jump, out=jump)
     return np.subtract(out, jump, out=out)
 
 
@@ -121,7 +129,7 @@ def _entropy_fix_into(lam_hat, lam_left, lam_right, out, delta, lifted,
     np.subtract(lam_hat, lam_left, out=delta)
     np.subtract(lam_right, lam_hat, out=lifted)
     np.maximum(delta, lifted, out=delta)
-    np.maximum(0.0, delta, out=delta)
+    np.maximum(_ZERO, delta, out=delta)
     np.abs(lam_hat, out=out)
     np.less(out, delta, out=fix)
     # lifted only where it is used, so delta > 0 there
@@ -129,24 +137,30 @@ def _entropy_fix_into(lam_hat, lam_left, lam_right, out, delta, lifted,
         np.multiply(lam_hat, lam_hat, out=lifted, where=fix)
         np.divide(lifted, delta, out=lifted, where=fix)
         np.add(lifted, delta, out=lifted, where=fix)
-        np.multiply(0.5, lifted, out=out, where=fix)
+        np.multiply(_HALF, lifted, out=out, where=fix)
     return out
 
 
 def _roe_layout(shape):
     cells = shape[1:-2] + shape[:-3:-1]  # (..., N, D)
-    return (("interface", shape),
-            ("interface", (2,) + cells),
-            ("eigen.values", cells),
-            ("eigen.right", cells + shape[-2:-1]),
-            ("eigen.left", cells + shape[-2:-1]),
-            ("interface", shape[1:]),
-            ("interface", cells + (1,)),
-            ("interface", cells),
-            ("interface", cells),
-            ("interface", cells),
-            ("flux.fix", cells, bool),
-            ("interface", cells + (1,)))
+    return (("rhs.sides", shape), ("rhs.flux", shape[1:])) \
+        + _roe_outs(shape) + (("interface", shape[1:]),
+                              ("interface", cells + (1,)),
+                              ("interface", cells),
+                              ("interface", cells),
+                              ("interface", cells),
+                              ("flux.fix", cells, bool),
+                              ("interface", cells + (1,)))
+
+
+def _roe_plan(sides, out, fluxes, values, lam_hat, right_vec, left_vec,
+              jump, strength, speed, delta, lifted, fix, dissipation):
+    return ((fluxes, values, (lam_hat, right_vec, left_vec)), sides[0],
+            sides[1], out, fluxes[0], fluxes[1], values[0], values[1],
+            lam_hat, right_vec, left_vec, jump,
+            jump.swapaxes(-1, -2)[..., None], strength, strength[..., 0],
+            speed, speed[..., None], delta, lifted, fix, dissipation,
+            dissipation[..., 0].swapaxes(-1, -2))
 
 
 def roe_flux(model: ConservationModel, sides: np.ndarray,
@@ -160,26 +174,35 @@ def roe_flux(model: ConservationModel, sides: np.ndarray,
     """
     if out is None:
         out = np.empty(sides.shape[1:])
-    (fluxes, values, lam_hat, right_vec, left_vec, jump, strength, speed,
-     delta, lifted, fix, dissipation) = scratch.buffers(_roe_layout,
-                                                        sides.shape)
-    model.roe_terms(sides, out=(fluxes, values,
-                                (lam_hat, right_vec, left_vec)))
-    np.subtract(sides[1], sides[0], out=jump)
-    np.matmul(left_vec, np.swapaxes(jump, -1, -2)[..., None], out=strength)
-    _entropy_fix_into(lam_hat, values[0], values[1], speed, delta, lifted,
-                      fix)
-    np.multiply(speed, strength[..., 0], out=speed)
-    np.matmul(right_vec, speed[..., None], out=dissipation)
-    np.add(fluxes[0], fluxes[1], out=out)
-    np.multiply(0.5, out, out=out)
-    np.multiply(0.5, dissipation, out=dissipation)
-    return np.subtract(out, np.swapaxes(dissipation[..., 0], -1, -2),
-                       out=out)
+    (terms, left, right, out, left_flux, right_flux, left_values,
+     right_values, lam_hat, right_vec, left_vec, jump, jump_columns,
+     strength, strengths, speed, speed_columns, delta, lifted, fix,
+     dissipation, dissipation_rows) = scratch.buffers(
+        _roe_layout, sides.shape, _roe_plan, sides, out)
+    model.roe_terms(sides, out=terms)
+    np.subtract(right, left, out=jump)
+    np.matmul(left_vec, jump_columns, out=strength)
+    _entropy_fix_into(lam_hat, left_values, right_values, speed, delta,
+                      lifted, fix)
+    np.multiply(speed, strengths, out=speed)
+    np.matmul(right_vec, speed_columns, out=dissipation)
+    np.add(left_flux, right_flux, out=out)
+    np.multiply(_HALF, out, out=out)
+    np.multiply(_HALF, dissipation, out=dissipation)
+    return np.subtract(out, dissipation_rows, out=out)
 
 
 def _rhs_layout(shape):
-    return (("flux.sides", (2,) + shape), ("flux.at", shape))
+    return (("rhs.sides", (2,) + shape), ("rhs.flux", shape))
+
+
+def _rhs_plan(sides, flux_at):
+    # the divided difference is made in sides[0], which the fluxes no
+    # longer need; entry i of flux_at is interface i+1/2
+    difference = sides[0]
+    return (sides, flux_at, flux_at[..., 1:], flux_at[..., :-1],
+            flux_at[..., 0], flux_at[..., -1], difference,
+            difference[..., 1:], difference[..., 0])
 
 
 class SemiDiscreteOperator:
@@ -202,20 +225,20 @@ class SemiDiscreteOperator:
         self.space_grid = space_grid
         self.config = config
         self.tables = build_tables(config.weno.degree)
+        self._dx = _operand(space_grid.dx)
 
     def rhs(self, field: np.ndarray) -> np.ndarray:
         field = np.asarray(field, float)
-        sides, flux_at = scratch.buffers(_rhs_layout, field.shape)
+        (sides, flux_at, upper, lower, first, last, difference, inner,
+         wrapped) = scratch.buffers(_rhs_layout, field.shape, _rhs_plan)
         model, weno = self.model, self.config.weno
         reconstruct_interface_states(model, field, self.tables, weno.epsilon,
                                      weno.characteristic, out=sides)
-        # entry i of flux_at is interface i+1/2
         if self.config.kind == "lf":
             lf_flux(model, sides, lf_alpha(model, sides), out=flux_at)
         else:
             roe_flux(model, sides, out=flux_at)
-        out = np.empty(field.shape)
-        np.subtract(flux_at[..., 1:], flux_at[..., :-1], out=out[..., 1:])
-        np.subtract(flux_at[..., 0], flux_at[..., -1], out=out[..., 0])
-        np.negative(out, out=out)
-        return np.divide(out, self.space_grid.dx, out=out)
+        np.subtract(upper, lower, out=inner)
+        np.subtract(first, last, out=wrapped)
+        np.negative(difference, out=difference)
+        return np.divide(difference, self._dx)

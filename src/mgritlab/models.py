@@ -34,6 +34,13 @@ def _reject(problem: str, bad: np.ndarray):
     raise PhysicalStateError(problem, tuple(int(i) for i in index))
 
 
+def _scan(problem: str, values: np.ndarray, bad: np.ndarray) -> None:
+    """Reject values <= 0, flagged into the bool buffer bad; a NaN passes."""
+    np.less_equal(values, _ZERO, out=bad)
+    if np.count_nonzero(bad):
+        _reject(problem, bad)
+
+
 def on_stack(evaluate, stack: np.ndarray):
     """evaluate(stack) on an array whose leading axis stacks arrays of
     states: the two sides of every interface, or the nodes of a trajectory.
@@ -48,18 +55,94 @@ def on_stack(evaluate, stack: np.ndarray):
         raise PhysicalStateError(err.problem, err.index[1:]) from None
 
 
-def _hook_layout(prefix: str, names: str, interface_names: str = ""):
-    """A static method laying out a model hook's scratch buffers
-    prefix.name (see `scratch`), which the hook takes in one lookup and
-    passes to its helpers: names at the cells (..., N) of states of shape
-    (..., D, N), interface_names at the cells of shape[1:], the interfaces
-    of a (2, ..., D, N) stack of sides."""
+def _operand(value: float) -> np.ndarray:
+    """A read-only 0-d float64 operand: a ufunc converts a Python float
+    afresh on every call."""
+    operand = np.array(value, float)
+    operand.setflags(write=False)
+    return operand
+
+
+_ZERO, _HALF, _ONE, _MINUS_HALF = map(_operand, (0.0, 0.5, 1.0, -0.5))
+
+
+# Where the hooks' out arrays live when the right-hand side's kernels pass
+# their own buffers, for states of shape (..., D, N) (roe_terms: sides of
+# shape (2, ..., D, N)). The kernels lay these out first under the same
+# names, so a hook's plan finds the very views it is passed.
+
+def _flux_outs(shape):
+    return (("interface", shape),)
+
+
+def _speed_outs(shape):
+    return (("interface", shape[:-2] + shape[-1:]),)
+
+
+def _eigen_outs(shape):
+    values = shape[:-2] + shape[:-3:-1]
+    return (("eigen.values", values), ("eigen.right", values + shape[-2:-1]),
+            ("eigen.left", values + shape[-2:-1]))
+
+
+def _roe_outs(shape):
+    return (("interface", shape), ("interface", shape[:-2] + shape[:-3:-1])) \
+        + _eigen_outs(shape[1:])
+
+
+def _hook_layout(outs, prefix: str, names: str, interface_names: str = ""):
+    """A static method laying out a model hook's scratch buffers (see
+    `scratch`), which the hook takes in one lookup and passes to its
+    helpers: its outs, then prefix.name for names at the cells (..., N) of
+    states of shape (..., D, N) and for interface_names at the cells of
+    shape[1:], the interfaces of a (2, ..., D, N) stack of sides. A name
+    "bad" is a bool buffer, the physical-state scans' mask."""
     def layout(shape):
         groups = ((names, shape[:-2] + shape[-1:]),
                   (interface_names, shape[1:-2] + shape[-1:]))
-        return tuple((f"{prefix}.{name}", cells) for group, cells in groups
-                     for name in group.split())
+        return outs(shape) + tuple(
+            (f"{prefix}.{name}", cells, bool if name == "bad" else float)
+            for group, cells in groups for name in group.split())
     return staticmethod(layout)
+
+
+def _rows(array: np.ndarray) -> tuple:
+    """array[..., d, :] for every component d of (..., D, N) states."""
+    return tuple(array[..., d, :] for d in range(array.shape[-2]))
+
+
+def _columns(values: np.ndarray) -> tuple:
+    """values[..., d] for every component d of (..., D) eigenvalues."""
+    return tuple(values[..., d] for d in range(values.shape[-1]))
+
+
+def _eigen_views(values, right, left) -> tuple:
+    """What an eigen hook writes of its (values, right, left): the
+    columns values[..., d], the rows right[..., r, :], and the entries
+    right[..., r, c] and left[..., r, c] in row-major order."""
+    n = values.shape[-1]
+    return (values, _columns(values),
+            tuple(right[..., r, :] for r in range(n)),
+            tuple(right[..., r, c] for r in range(n) for c in range(n)),
+            tuple(left[..., r, c] for r in range(n) for c in range(n)))
+
+
+# The hooks' plans: the views of their outs and of their own buffers, in
+# the order each hook unpacks them.
+
+def _flux_plan(out, *own):
+    return (_rows(out),) + own
+
+
+def _eigen_plan(values, right, left, *own):
+    return (_eigen_views(values, right, left),) + own
+
+
+def _roe_outs_plan(fluxes, values, roe_values, right, left):
+    """The views of roe_terms' outs: the rows of fluxes, the columns of
+    values, and the Roe eigen views."""
+    return (_rows(fluxes), _columns(values),
+            _eigen_views(roe_values, right, left))
 
 
 class ConservationModel:
@@ -155,23 +238,23 @@ class Burgers(ConservationModel):
 
     def _flux_into(self, u, out):
         # (0.5 * u) * u, the bits of flux's formula
-        np.multiply(0.5, u, out=out)
+        np.multiply(_HALF, u, out=out)
         return np.multiply(out, u, out=out)
 
     def _max_abs_speed_into(self, u, out):
         return np.abs(u[..., 0, :], out=out)
 
     def _eigen_cells_into(self, u, values, right, left):
-        values[...] = np.moveaxis(u, -2, -1)
+        values[...] = u.swapaxes(-2, -1)
         right.fill(1.0)
         left.fill(1.0)
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
         self._flux_into(sides, fluxes)
-        values[...] = np.moveaxis(sides, -2, -1)
+        values[...] = sides.swapaxes(-2, -1)
         np.add(values[0], values[1], out=roe_values)
-        np.multiply(0.5, roe_values, out=roe_values)
+        np.multiply(_HALF, roe_values, out=roe_values)
         right.fill(1.0)
         left.fill(1.0)
 
@@ -181,88 +264,104 @@ class ShallowWater(ConservationModel):
 
     kind = "shallow-water"
     n_components = 2
-    _flux_layout = _hook_layout("sw", "vel pressure")
-    _speed_layout = _hook_layout("sw", "vel c")
-    _eigen_layout = _hook_layout("sw", "vel c inv2c")
-    _roe_layout = _hook_layout("sw", "vel c root weighted pressure",
+    _flux_layout = _hook_layout(_flux_outs, "sw", "vel pressure bad")
+    _speed_layout = _hook_layout(_speed_outs, "sw", "vel c bad")
+    _eigen_layout = _hook_layout(_eigen_outs, "sw", "vel c inv2c bad")
+    _roe_layout = _hook_layout(_roe_outs, "sw",
+                               "vel c root weighted pressure bad",
                                "h_hat u_hat total c_hat inv2c")
 
     def __init__(self, gravity: float = DEFAULT_GRAVITY):
         if not 0.0 < gravity < np.inf:
             raise ConfigError(f"gravity must be positive, got {gravity}")
         self.gravity = gravity
+        self._gravity = _operand(gravity)
+        self._half_gravity = _operand(0.5 * gravity)
 
-    def _depth_velocity(self, u, vel):
-        """The depth h, with u's velocity written into vel."""
-        h = u[..., 0, :]
-        bad = h <= 0.0
-        if bad.any():
-            _reject("non-positive depth", bad)
-        np.divide(u[..., 1, :], h, out=vel)
-        return h
+    @staticmethod
+    def _depth_velocity(u, vel, bad):
+        """The rows (h, hu) of u, with its velocity written into vel."""
+        h, hu = u[..., 0, :], u[..., 1, :]
+        _scan("non-positive depth", h, bad)
+        np.divide(hu, h, out=vel)
+        return h, hu
 
     def _celerity(self, h, c):
         """sqrt(g h), written into c."""
-        return np.sqrt(np.multiply(self.gravity, h, out=c), out=c)
+        return np.sqrt(np.multiply(self._gravity, h, out=c), out=c)
 
-    def _flux_from(self, u, h, vel, pressure, out):
-        out[..., 0, :] = u[..., 1, :]
-        momentum = out[..., 1, :]
+    def _flux_from(self, h, hu, vel, pressure, out_rows):
+        mass, momentum = out_rows
+        mass[...] = hu
         np.multiply(h, vel, out=momentum)
         np.multiply(momentum, vel, out=momentum)
-        np.multiply(0.5 * self.gravity, h, out=pressure)
+        np.multiply(self._half_gravity, h, out=pressure)
         np.multiply(pressure, h, out=pressure)
         np.add(momentum, pressure, out=momentum)
-        return out
 
     @staticmethod
-    def _values_into(vel, c, out):
-        np.subtract(vel, c, out=out[..., 0])
-        np.add(vel, c, out=out[..., 1])
-        return out
+    def _values_into(vel, c, columns):
+        np.subtract(vel, c, out=columns[0])
+        np.add(vel, c, out=columns[1])
 
     def _flux_into(self, u, out):
-        vel, pressure = scratch.buffers(self._flux_layout, u.shape)
-        h = self._depth_velocity(u, vel)
-        return self._flux_from(u, h, vel, pressure, out)
+        rows, vel, pressure, bad = scratch.buffers(
+            self._flux_layout, u.shape, _flux_plan, out)
+        h, hu = self._depth_velocity(u, vel, bad)
+        self._flux_from(h, hu, vel, pressure, rows)
+        return out
 
     def _max_abs_speed_into(self, u, out):
-        vel, c = scratch.buffers(self._speed_layout, u.shape)
-        h = self._depth_velocity(u, vel)
+        out, vel, c, bad = scratch.buffers(self._speed_layout, u.shape, None,
+                                           out)
+        h, _ = self._depth_velocity(u, vel, bad)
         np.abs(vel, out=out)
         return np.add(out, self._celerity(h, c), out=out)
 
-    def _eigen_from(self, vel, c, lam, right, left, inv2c):
-        self._values_into(vel, c, lam)
-        right[..., 0, :] = 1.0
-        right[..., 1, :] = lam
+    def _eigen_from(self, vel, c, eigen, inv2c):
+        """Eigenvalues and right/left eigenvectors from u and c into the
+        views eigen of _eigen_views, with inv2c a work array."""
+        lam, columns, right_rows, _, left = eigen
+        self._values_into(vel, c, columns)
+        right_rows[0].fill(1.0)
+        right_rows[1][...] = lam
         # closed-form inverse of [[1, 1], [u-c, u+c]]
-        np.divide(0.5, c, out=inv2c)
-        np.multiply(lam[..., 1], inv2c, out=left[..., 0, 0])
-        np.negative(inv2c, out=left[..., 0, 1])
-        np.negative(lam[..., 0], out=left[..., 1, 0])
-        np.multiply(left[..., 1, 0], inv2c, out=left[..., 1, 0])
-        left[..., 1, 1] = inv2c
+        np.divide(_HALF, c, out=inv2c)
+        np.multiply(columns[1], inv2c, out=left[0])
+        np.negative(inv2c, out=left[1])
+        np.negative(columns[0], out=left[2])
+        np.multiply(left[2], inv2c, out=left[2])
+        left[3][...] = inv2c
 
     def _eigen_cells_into(self, u, values, right, left):
-        vel, c, inv2c = scratch.buffers(self._eigen_layout, u.shape)
-        h = self._depth_velocity(u, vel)
-        self._eigen_from(vel, self._celerity(h, c), values, right, left, inv2c)
+        eigen, vel, c, inv2c, bad = scratch.buffers(
+            self._eigen_layout, u.shape, _eigen_plan, values, right, left)
+        h, _ = self._depth_velocity(u, vel, bad)
+        self._eigen_from(vel, self._celerity(h, c), eigen, inv2c)
+
+    @staticmethod
+    def _roe_plan(fluxes, values, roe_values, right, left, vel, c, root,
+                  weighted, pressure, bad, *interface):
+        return (_roe_outs_plan(fluxes, values, roe_values, right, left), vel,
+                c, root, tuple(root), weighted, tuple(weighted), pressure,
+                bad) + interface
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
-        (vel, c, root, weighted, pressure, h_hat, u_hat, total, c_hat,
-         inv2c) = scratch.buffers(self._roe_layout, sides.shape)
-        h = on_stack(lambda stack: self._depth_velocity(stack, vel), sides)
-        self._values_into(vel, self._celerity(h, c), values)
+        ((rows, columns, eigen), vel, c, root, roots, weighted, sums,
+         pressure, bad, h_hat, u_hat, total, c_hat, inv2c) = scratch.buffers(
+            self._roe_layout, sides.shape, self._roe_plan, fluxes, values,
+            roe_values, right, left)
+        h, hu = on_stack(
+            lambda stack: self._depth_velocity(stack, vel, bad), sides)
+        self._values_into(vel, self._celerity(h, c), columns)
         np.sqrt(h, out=root)
         np.multiply(root, vel, out=weighted)
-        np.multiply(0.5, np.add(h[0], h[1], out=h_hat), out=h_hat)
-        np.add(weighted[0], weighted[1], out=u_hat)
-        np.divide(u_hat, np.add(root[0], root[1], out=total), out=u_hat)
-        self._flux_from(sides, h, vel, pressure, fluxes)
-        self._eigen_from(u_hat, self._celerity(h_hat, c_hat), roe_values,
-                         right, left, inv2c)
+        np.multiply(_HALF, np.add(h[0], h[1], out=h_hat), out=h_hat)
+        np.add(sums[0], sums[1], out=u_hat)
+        np.divide(u_hat, np.add(roots[0], roots[1], out=total), out=u_hat)
+        self._flux_from(h, hu, vel, pressure, rows)
+        self._eigen_from(u_hat, self._celerity(h_hat, c_hat), eigen, inv2c)
 
 
 class Euler(ConservationModel):
@@ -271,71 +370,74 @@ class Euler(ConservationModel):
     kind = "euler"
     n_components = 3
     _EIGEN = "vel_c inv_c b1 b2 b1_vel vel_inv_c"  # _eigen_from's own
-    _flux_layout = _hook_layout("euler", "vel p")
-    _speed_layout = _hook_layout("euler", "vel p c")
-    _eigen_layout = _hook_layout("euler", "vel p c enthalpy " + _EIGEN)
+    _flux_layout = _hook_layout(_flux_outs, "euler", "vel p bad")
+    _speed_layout = _hook_layout(_speed_outs, "euler", "vel p c bad")
+    _eigen_layout = _hook_layout(_eigen_outs, "euler",
+                                 "vel p c enthalpy bad " + _EIGEN)
     _roe_layout = _hook_layout(
-        "euler", "vel p c root weighted_vel weighted_enthalpy",
-        "total u_hat h_hat c_hat " + _EIGEN)
+        _roe_outs, "euler", "vel p c root weighted_vel weighted_enthalpy bad",
+        "total u_hat h_hat c_hat bad " + _EIGEN)
 
     def __init__(self, gamma: float = DEFAULT_GAMMA):
         if not 1.0 < gamma < np.inf:
             raise ConfigError(f"gamma must exceed 1, got {gamma}")
         self.gamma = gamma
+        self._gamma = _operand(gamma)
+        self._gamma_1 = _operand(gamma - 1.0)
 
-    def _primitives(self, u, vel, p):
-        """rho, with u's velocity and pressure written into vel and p."""
-        rho = u[..., 0, :]
-        bad = rho <= 0.0
-        if bad.any():
-            _reject("non-positive density", bad)
-        np.divide(u[..., 1, :], rho, out=vel)
+    def _primitives(self, u, vel, p, bad):
+        """The rows (rho, rho u, E) of u, with its velocity and pressure
+        written into vel and p."""
+        rho, momentum, energy = u[..., 0, :], u[..., 1, :], u[..., 2, :]
+        _scan("non-positive density", rho, bad)
+        np.divide(momentum, rho, out=vel)
         # (gamma - 1) (E - 0.5 rho u u)
-        np.multiply(0.5, rho, out=p)
+        np.multiply(_HALF, rho, out=p)
         np.multiply(p, vel, out=p)
         np.multiply(p, vel, out=p)
-        np.subtract(u[..., 2, :], p, out=p)
-        np.multiply(self.gamma - 1.0, p, out=p)
-        bad = p <= 0.0
-        if bad.any():
-            _reject("non-positive pressure", bad)
-        return rho
+        np.subtract(energy, p, out=p)
+        np.multiply(self._gamma_1, p, out=p)
+        _scan("non-positive pressure", p, bad)
+        return rho, momentum, energy
 
     @staticmethod
-    def _flux_from(u, vel, p, out):
-        out[..., 0, :] = u[..., 1, :]
-        np.multiply(u[..., 1, :], vel, out=out[..., 1, :])
-        np.add(out[..., 1, :], p, out=out[..., 1, :])
-        np.add(u[..., 2, :], p, out=out[..., 2, :])
-        np.multiply(out[..., 2, :], vel, out=out[..., 2, :])
-        return out
+    def _flux_from(momentum, energy, vel, p, out_rows):
+        mass, flux_momentum, flux_energy = out_rows
+        mass[...] = momentum
+        np.multiply(momentum, vel, out=flux_momentum)
+        np.add(flux_momentum, p, out=flux_momentum)
+        np.add(energy, p, out=flux_energy)
+        np.multiply(flux_energy, vel, out=flux_energy)
 
     def _sound_speed(self, rho, p, c):
         """sqrt(gamma p / rho), written into c."""
-        np.multiply(self.gamma, p, out=c)
+        np.multiply(self._gamma, p, out=c)
         return np.sqrt(np.divide(c, rho, out=c), out=c)
 
     @staticmethod
-    def _values_into(vel, c, out):
-        np.subtract(vel, c, out=out[..., 0])
-        out[..., 1] = vel
-        np.add(vel, c, out=out[..., 2])
-        return out
+    def _values_into(vel, c, columns):
+        np.subtract(vel, c, out=columns[0])
+        columns[1][...] = vel
+        np.add(vel, c, out=columns[2])
 
     def _flux_into(self, u, out):
-        vel, p = scratch.buffers(self._flux_layout, u.shape)
-        self._primitives(u, vel, p)
-        return self._flux_from(u, vel, p, out)
+        rows, vel, p, bad = scratch.buffers(self._flux_layout, u.shape,
+                                            _flux_plan, out)
+        _, momentum, energy = self._primitives(u, vel, p, bad)
+        self._flux_from(momentum, energy, vel, p, rows)
+        return out
 
     def _max_abs_speed_into(self, u, out):
-        vel, p, c = scratch.buffers(self._speed_layout, u.shape)
-        rho = self._primitives(u, vel, p)
+        out, vel, p, c, bad = scratch.buffers(self._speed_layout, u.shape,
+                                              None, out)
+        rho, _, _ = self._primitives(u, vel, p, bad)
         np.abs(vel, out=out)
         return np.add(out, self._sound_speed(rho, p, c), out=out)
 
-    def _eigen_from(self, vel, c, enthalpy, lam, right, left, work):
+    def _eigen_from(self, vel, c, enthalpy, eigen, work):
         """Eigenvalues and right/left eigenvector matrices from u, c and H,
-        written into lam, right and left; work holds _EIGEN's temporaries.
+        written into the views eigen of _eigen_views; work holds _EIGEN's
+        temporaries.
 
         The left eigenvectors are the closed-form dual basis (Toro, Riemann
         Solvers and Numerical Methods for Fluid Dynamics): with
@@ -346,72 +448,83 @@ class Euler(ConservationModel):
         which needs c^2 = (gamma-1)(H - u^2/2); that holds for cell states
         and for the Roe average alike.
         """
+        lam, columns, right_rows, right, left = eigen
         vel_c, inv_c, b1, b2, b1_vel, vel_inv_c = work
-        self._values_into(vel, c, lam)
-        right[..., 0, :] = 1.0
-        right[..., 1, :] = lam
+        self._values_into(vel, c, columns)
+        right_rows[0].fill(1.0)
+        right_rows[1][...] = lam
         np.multiply(vel, c, out=vel_c)
-        np.subtract(enthalpy, vel_c, out=right[..., 2, 0])
-        np.multiply(np.multiply(0.5, vel, out=b2), vel, out=right[..., 2, 1])
-        np.add(enthalpy, vel_c, out=right[..., 2, 2])
-        np.divide(1.0, c, out=inv_c)
-        np.multiply(self.gamma - 1.0, inv_c, out=b1)
+        np.subtract(enthalpy, vel_c, out=right[6])
+        np.multiply(np.multiply(_HALF, vel, out=b2), vel, out=right[7])
+        np.add(enthalpy, vel_c, out=right[8])
+        np.divide(_ONE, c, out=inv_c)
+        np.multiply(self._gamma_1, inv_c, out=b1)
         np.multiply(b1, inv_c, out=b1)
-        np.multiply(0.5, b1, out=b2)
+        np.multiply(_HALF, b1, out=b2)
         np.multiply(b2, vel, out=b2)
         np.multiply(b2, vel, out=b2)
         np.multiply(b1, vel, out=b1_vel)
         np.multiply(vel, inv_c, out=vel_inv_c)
         # each entry's sum, then its factor, in place
-        for row, column, combine, a, b, factor in (
-                (0, 0, np.add, b2, vel_inv_c, 0.5),
-                (0, 1, np.add, b1_vel, inv_c, -0.5),
-                (2, 0, np.subtract, b2, vel_inv_c, 0.5),
-                (2, 1, np.subtract, b1_vel, inv_c, -0.5)):
-            entry = left[..., row, column]
-            np.multiply(factor, combine(a, b, out=entry), out=entry)
-        np.multiply(0.5, b1, out=left[..., 0, 2])
-        np.subtract(1.0, b2, out=left[..., 1, 0])
-        left[..., 1, 1] = b1_vel
-        np.negative(b1, out=left[..., 1, 2])
-        left[..., 2, 2] = left[..., 0, 2]
+        np.add(b2, vel_inv_c, out=left[0])
+        np.multiply(_HALF, left[0], out=left[0])
+        np.add(b1_vel, inv_c, out=left[1])
+        np.multiply(_MINUS_HALF, left[1], out=left[1])
+        np.subtract(b2, vel_inv_c, out=left[6])
+        np.multiply(_HALF, left[6], out=left[6])
+        np.subtract(b1_vel, inv_c, out=left[7])
+        np.multiply(_MINUS_HALF, left[7], out=left[7])
+        np.multiply(_HALF, b1, out=left[2])
+        np.subtract(_ONE, b2, out=left[3])
+        left[4][...] = b1_vel
+        np.negative(b1, out=left[5])
+        left[8][...] = left[2]
 
     def _eigen_cells_into(self, u, values, right, left):
-        vel, p, c, enthalpy, *work = scratch.buffers(self._eigen_layout,
-                                                     u.shape)
-        rho = self._primitives(u, vel, p)
-        np.divide(np.add(u[..., 2, :], p, out=enthalpy), rho, out=enthalpy)
-        self._eigen_from(vel, self._sound_speed(rho, p, c), enthalpy, values,
-                         right, left, work)
+        eigen, vel, p, c, enthalpy, bad, *work = scratch.buffers(
+            self._eigen_layout, u.shape, _eigen_plan, values, right, left)
+        rho, _, energy = self._primitives(u, vel, p, bad)
+        np.divide(np.add(energy, p, out=enthalpy), rho, out=enthalpy)
+        self._eigen_from(vel, self._sound_speed(rho, p, c), enthalpy, eigen,
+                         work)
+
+    @staticmethod
+    def _roe_plan(fluxes, values, roe_values, right, left, vel, p, c, root,
+                  weighted_vel, weighted_enthalpy, bad, *interface):
+        return (_roe_outs_plan(fluxes, values, roe_values, right, left), vel,
+                p, c, root, tuple(root), weighted_vel, tuple(weighted_vel),
+                weighted_enthalpy, tuple(weighted_enthalpy), bad) + interface
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
-        (vel, p, c, root, weighted_vel, weighted_enthalpy, total, u_hat, h_hat,
-         c_hat, *work) = scratch.buffers(self._roe_layout, sides.shape)
-        rho = on_stack(lambda stack: self._primitives(stack, vel, p), sides)
-        self._values_into(vel, self._sound_speed(rho, p, c), values)
+        ((rows, columns, eigen), vel, p, c, root, roots, weighted_vel,
+         vel_sums, weighted_enthalpy, enthalpy_sums, bad, total, u_hat, h_hat,
+         c_hat, interface_bad, *work) = scratch.buffers(
+            self._roe_layout, sides.shape, self._roe_plan, fluxes, values,
+            roe_values, right, left)
+        rho, momentum, energy = on_stack(
+            lambda stack: self._primitives(stack, vel, p, bad), sides)
+        self._values_into(vel, self._sound_speed(rho, p, c), columns)
         np.sqrt(rho, out=root)
         np.multiply(root, vel, out=weighted_vel)
         # root ((E + p) / rho)
-        np.add(sides[..., 2, :], p, out=weighted_enthalpy)
+        np.add(energy, p, out=weighted_enthalpy)
         np.divide(weighted_enthalpy, rho, out=weighted_enthalpy)
         np.multiply(root, weighted_enthalpy, out=weighted_enthalpy)
-        np.add(root[0], root[1], out=total)
-        np.add(weighted_vel[0], weighted_vel[1], out=u_hat)
+        np.add(roots[0], roots[1], out=total)
+        np.add(vel_sums[0], vel_sums[1], out=u_hat)
         np.divide(u_hat, total, out=u_hat)
-        np.add(weighted_enthalpy[0], weighted_enthalpy[1], out=h_hat)
+        np.add(enthalpy_sums[0], enthalpy_sums[1], out=h_hat)
         np.divide(h_hat, total, out=h_hat)
         # c^2 = (gamma - 1) (h_hat - 0.5 u_hat u_hat)
-        np.multiply(0.5, u_hat, out=c_hat)
+        np.multiply(_HALF, u_hat, out=c_hat)
         np.multiply(c_hat, u_hat, out=c_hat)
         np.subtract(h_hat, c_hat, out=c_hat)
-        np.multiply(self.gamma - 1.0, c_hat, out=c_hat)
-        bad = c_hat <= 0.0
-        if bad.any():
-            _reject("Roe average loses hyperbolicity", bad)
-        self._flux_from(sides, vel, p, fluxes)
-        self._eigen_from(u_hat, np.sqrt(c_hat, out=c_hat), h_hat, roe_values,
-                         right, left, work)
+        np.multiply(self._gamma_1, c_hat, out=c_hat)
+        _scan("Roe average loses hyperbolicity", c_hat, interface_bad)
+        self._flux_from(momentum, energy, vel, p, rows)
+        self._eigen_from(u_hat, np.sqrt(c_hat, out=c_hat), h_hat, eigen,
+                         work)
 
 
 _MODEL_KINDS = {

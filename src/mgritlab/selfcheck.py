@@ -71,7 +71,8 @@ def _check_weights_convex():
     for k in (0, 1, 2, 3):
         tables = build_tables(k)
         # the kernel's own weights of 100 windows, (2, k+1, 100)
-        _, w = _block_terms(tables, 1e-6, rng.normal(size=(100, 2 * k + 1)))
+        _, w, _ = _block_terms(tables, 1e-6,
+                               rng.normal(size=(100, 2 * k + 1)))
         if np.any(w < 0) or np.max(np.abs(np.sum(w, axis=1) - 1.0)) > 1e-13:
             return False, f"weights not convex for k={k}"
     return True, "nonlinear weights stay convex"

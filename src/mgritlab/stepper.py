@@ -70,7 +70,7 @@ import numpy as np
 from . import scratch
 from .errors import ConfigError
 from .grid import SpatialGrid
-from .models import Burgers, ConservationModel
+from .models import _HALF, Burgers, ConservationModel, _operand
 
 # Runge-Kutta stepper names and the order of each
 RK_ORDERS = {"fe": 1, "ssprk2": 2, "ssprk3": 3}
@@ -84,7 +84,7 @@ def _stage_layout(key):
 
 def _stages(u, n_stages: int):
     """This thread's dt * rhs term and intermediate stages at u's shape."""
-    return scratch.buffers(_stage_layout, (np.shape(u), n_stages))
+    return scratch.buffers(_stage_layout, (u.shape, n_stages))
 
 
 # The steps write each stage into scratch buffers with the operand order of
@@ -92,8 +92,12 @@ def _stages(u, n_stages: int):
 # (0.25 * dt) * r and `u / 3.0` a division; rhs results are read, never
 # written. The returned array is fresh.
 
+_QUARTER, _THREE_QUARTERS, _THREE, _TWO_THIRDS = map(
+    _operand, (0.25, 0.75, 3.0, 2.0 / 3.0))
+
+
 def step_fe(rhs: Callable, u: np.ndarray, dt: float) -> np.ndarray:
-    out = np.multiply(dt, rhs(u), out=np.empty(np.shape(u)))
+    out = np.multiply(dt, rhs(u), out=np.empty(u.shape))
     return np.add(u, out, out=out)
 
 
@@ -102,8 +106,8 @@ def step_ssprk2(rhs: Callable, u: np.ndarray, dt: float) -> np.ndarray:
     np.multiply(dt, rhs(u), out=term)
     np.add(u, term, out=u1)
     np.multiply(0.5 * dt, rhs(u1), out=term)
-    out = np.multiply(0.5, u, out=np.empty(np.shape(u)))
-    np.add(out, np.multiply(0.5, u1, out=u1), out=out)
+    out = np.multiply(_HALF, u, out=np.empty(u.shape))
+    np.add(out, np.multiply(_HALF, u1, out=u1), out=out)
     return np.add(out, term, out=out)
 
 
@@ -112,12 +116,12 @@ def step_ssprk3(rhs: Callable, u: np.ndarray, dt: float) -> np.ndarray:
     np.multiply(dt, rhs(u), out=term)
     np.add(u, term, out=u1)
     np.multiply(0.25 * dt, rhs(u1), out=term)
-    np.multiply(0.75, u, out=u2)
-    np.add(u2, np.multiply(0.25, u1, out=u1), out=u2)
+    np.multiply(_THREE_QUARTERS, u, out=u2)
+    np.add(u2, np.multiply(_QUARTER, u1, out=u1), out=u2)
     np.add(u2, term, out=u2)
     np.multiply((2.0 / 3.0) * dt, rhs(u2), out=term)
-    out = np.divide(u, 3.0, out=np.empty(np.shape(u)))
-    np.add(out, np.multiply(2.0 / 3.0, u2, out=u2), out=out)
+    out = np.divide(u, _THREE, out=np.empty(u.shape))
+    np.add(out, np.multiply(_TWO_THIRDS, u2, out=u2), out=out)
     return np.add(out, term, out=out)
 
 
@@ -161,9 +165,6 @@ def _average(v: np.ndarray) -> np.ndarray:
 def _difference(f: np.ndarray, dx: float) -> np.ndarray:
     """D on a padded last axis; the result is one cell shorter at each end."""
     return (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
-
-
-_HALF = np.array(0.5)  # a float operand is converted afresh on every call
 
 
 def _one_state_layout(key):

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import scratch
 from .errors import ConfigError, DimensionError
+from .models import _eigen_outs
 
 DEFAULT_EPSILON = 1e-6
 
@@ -216,13 +217,41 @@ def _pair_layout(key):
             ("weno.term", pair), ("weno.beta", pair), ("weno.total", (2, m)))
 
 
-def _pair_terms(tables: WenoTables, rows, diff0, diff1, at, term, beta):
+def _pair_plan(rows, diff0, diff1, at, term, beta, total):
+    """A block's views and the table operands of its degree, in the order
+    _pair_terms and _normalised_weights use them.
+
+    at[j][side, r] is Delta^j q at the first cell of stencil r of side;
+    Delta^j, j >= 1, is made from Delta^(j-1) in diff0 or diff1 by turns.
+    """
+    k = len(at) - 1
+    tables = build_tables(k)
+    differences = [rows]
+    for j in range(1, k + 1):
+        rows_j = len(differences[-1]) - 1
+        differences.append((diff0, diff1)[j % 2][:rows_j])
+    gathers = tuple(zip(differences, tables.stencil_rows, at))
+    steps = tuple((before[1:], before[:-1], after)
+                  for before, after in zip(differences, differences[1:]))
+    candidate_terms = tuple(zip(tables.newton_candidates, at[1:]))
+    # form m adds l_j Delta^(j+1) to Delta^(m+1) in place; forms after m
+    # read only at[m + 2:]
+    forms = tuple((at[m + 1],
+                   tuple((tables.newton_forms[m, j], at[j + 1])
+                         for j in range(m + 1, k)),
+                   tables.newton_weights[m]) for m in range(k))
+    omega = tuple(beta[:, r] for r in range(k + 1))
+    return (rows, gathers[0], tuple(zip(steps, gathers[1:])), at[0],
+            candidate_terms, forms, term, beta, tables.weights[:, None],
+            total, total[:, None], omega)
+
+
+def _pair_terms(plan):
     """Candidate values and smoothness indicators of every stencil on both
-    sides, each (2, k+1, M): [0, r] for stencil r of the window (toward
-    its right interface), [1, r] for stencil r of the reversed window
-    (toward its left interface). rows is a (W, M) slot-major array; the
-    others are work arrays of _pair_layout's shapes, and the results are
-    at[0] and beta.
+    sides, each (2, k+1, M), of the block whose slot-major (W, M) rows a
+    _pair_plan holds: [0, r] for stencil r of the window (toward its right
+    interface), [1, r] for stencil r of the reversed window (toward its
+    left interface). The results are the plan's at[0] and beta.
 
     The reversed window's Delta^j at its stencil r is (-1)^j Delta^j at
     slot k - j + r of the window, exactly (a - b == -(b - a)), so side 1
@@ -235,52 +264,48 @@ def _pair_terms(tables: WenoTables, rows, diff0, diff1, at, term, beta):
     # batch around it (a BLAS product over the batch rounds differently with
     # its size and alignment, and CSVs are byte-identical across
     # parallelism degrees, which batch the states differently).
-    k = tables.k
-    # at[j][side, r] is Delta^j q at the first cell of stencil r of side
-    differences = rows
-    for j, stencil_rows in enumerate(tables.stencil_rows):
-        if j:
-            differences = np.subtract(
-                differences[1:], differences[:-1],
-                out=(diff0, diff1)[j % 2][:len(differences) - 1])
-        np.take(differences, stencil_rows, axis=0, out=at[j], mode="clip")
-    candidates = at[0]
-    for e, delta in zip(tables.newton_candidates, at[1:]):
+    _, (rows, stencil_rows, at), steps, candidates, candidate_terms, forms, \
+        term, beta = plan[:8]
+    rows.take(stencil_rows, 0, at, "clip")
+    for (upper, lower, difference), (_, stencil_rows, at) in steps:
+        np.subtract(upper, lower, out=difference)
+        difference.take(stencil_rows, 0, at, "clip")
+    for e, delta in candidate_terms:
         candidates += np.multiply(e, delta, out=term)
     beta.fill(0.0)
-    for m in range(k):
-        square = at[m + 1]  # forms after m read only at[m + 2:]
-        for j in range(m + 1, k):
-            square += np.multiply(tables.newton_forms[m, j], at[j + 1],
-                                  out=term)
+    for square, terms, weight in forms:
+        for factor, delta in terms:
+            square += np.multiply(factor, delta, out=term)
         square *= square
-        square *= tables.newton_weights[m]
+        square *= weight
         beta += square
     return candidates, beta
 
 
-def _normalised_weights(tables: WenoTables, epsilon: float, beta, total):
-    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, M), with total a
-    (2, M) work array; overwrites beta."""
+def _normalised_weights(plan, epsilon: float):
+    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, M), over the
+    plan's beta, which _pair_terms made."""
+    beta, weights, total, totals, (first, *rest) = plan[7:]
     beta += epsilon
     beta *= beta
-    raw = np.divide(tables.weights[:, None], beta, out=beta)
-    np.copyto(total, raw[:, 0])
-    for r in range(1, tables.k + 1):
-        total += raw[:, r]
-    raw /= total[:, None]
+    raw = np.divide(weights, beta, out=beta)
+    total[...] = first
+    for column in rest:
+        total += column
+    raw /= totals
     return raw
 
 
 def _block_terms(tables: WenoTables, epsilon: float, columns: np.ndarray):
     """Candidate values and normalised weights, each (2, k+1, M), of the M
-    windows of a (M, W) block, in this thread's scratch buffers of that
-    block (see `scratch`), taken in one lookup."""
-    rows, *work, total = scratch.buffers(_pair_layout,
-                                         (tables.k, len(columns)))
-    np.copyto(rows, columns.T)
-    candidates, beta = _pair_terms(tables, rows, *work)
-    return candidates, _normalised_weights(tables, epsilon, beta, total)
+    windows of a (M, W) block, and the weights' (2, M) columns omega[:, r],
+    in this thread's scratch buffers of that block (see `scratch`), taken
+    in one lookup."""
+    plan = scratch.buffers(_pair_layout, (tables.k, len(columns)),
+                           _pair_plan)
+    plan[0][...] = columns.T
+    candidates, beta = _pair_terms(plan)
+    return candidates, _normalised_weights(plan, epsilon), plan[-1]
 
 
 # Windows per kernel block: the block's temporaries, a few dozen rows of
@@ -308,12 +333,13 @@ def reconstruct_pair(tables: WenoTables, epsilon: float, window: np.ndarray,
     values = out.reshape(2, -1)
     for start in range(0, len(columns), BLOCK_WINDOWS):
         block = slice(start, start + BLOCK_WINDOWS)
-        candidates, omega = _block_terms(tables, epsilon, columns[block])
+        candidates, omega, (first, *rest) = _block_terms(
+            tables, epsilon, columns[block])
         omega *= candidates
         value = values[:, block]
-        value[...] = omega[:, 0]
-        for r in range(1, tables.k + 1):
-            value += omega[:, r]
+        value[...] = first
+        for column in rest:
+            value += column
     return out
 
 
@@ -343,32 +369,64 @@ def _characteristic_indices(n_components: int, n_cells: int,
     return index
 
 
-def _interface_sides(values: np.ndarray, sides: np.ndarray) -> None:
-    """Contiguous (2, ..., D, N) sides from every cell's (2, ..., D, N)
-    values: side 0 as it is, side 1 moved from cell i+1 to entry i along
-    the periodic last axis."""
-    sides[0] = values[0]
-    sides[1, ..., :-1] = values[1, ..., 1:]
-    sides[1, ..., -1] = values[1, ..., 0]
+def _side_views(sides: np.ndarray) -> tuple:
+    """Side 0, side 1 but its last cell, and that cell of (2, ..., D, N)
+    sides: the targets of _interface_sides."""
+    return sides[0], sides[1, ..., :-1], sides[1, ..., -1]
 
 
-# The windows and values of a reconstruction take the "interface" buffer,
-# which the numerical flux takes for its terms once the sides are made.
+def _value_views(values: np.ndarray) -> tuple:
+    """What _interface_sides moves of every cell's (2, ..., D, N) values
+    to the _side_views of the sides."""
+    return values[0], values[1, ..., 1:], values[1, ..., 0]
+
+
+def _interface_sides(targets: tuple, sources: tuple) -> None:
+    """Contiguous sides from every cell's values: side 0 as it is, side 1
+    moved from cell i+1 to entry i along the periodic last axis."""
+    for target, source in zip(targets, sources):
+        target[...] = source
+
+
+# The sides lead a reconstruction's layout under the name that the
+# right-hand side keeps them by, and eigen_cells' outs follow. The windows
+# and values take the "interface" buffer, which the numerical flux takes
+# for its terms once the sides are made.
+
+def _sides_layout(key):
+    shape, _ = key
+    return (("rhs.sides", (2,) + shape),)
+
 
 def _characteristic_layout(key):
     shape, window = key
     cells = shape[:-2] + shape[:-3:-1]  # (..., N, D)
-    return (("eigen.values", cells),
-            ("eigen.right", cells + shape[-2:-1]),
-            ("eigen.left", cells + shape[-2:-1]),
-            ("interface", cells + (window,)),
-            ("interface", cells + (window,)))
+    return _sides_layout(key) + _eigen_outs(shape) \
+        + (("interface", cells + (window,)), ("interface", cells + (window,)))
+
+
+def _characteristic_plan(out, lam, right_vec, left_vec, windows, projected):
+    n_cells, n_components, window = windows.shape[-3:]
+    pair = _reuse(windows, (2,) + lam.shape)
+    back = _reuse(projected, pair.shape + (1,))
+    values = back[..., 0].swapaxes(-1, -2)
+    return (_side_views(out), (lam, right_vec, left_vec),
+            windows.shape[:-3] + (-1,),
+            _characteristic_indices(n_components, n_cells, window // 2),
+            windows, left_vec, projected, pair, right_vec, pair[..., None],
+            back, _value_views(values))
 
 
 def _component_layout(key):
     shape, window = key
-    return (("interface", shape + (window,)),
-            ("interface", (2,) + shape))
+    return _sides_layout(key) + (("interface", shape + (window,)),
+                                 ("interface", (2,) + shape))
+
+
+def _component_plan(out, windows, values):
+    n_cells, window = windows.shape[-2:]
+    return (_side_views(out), _window_indices(n_cells, window // 2), windows,
+            values, _value_views(values))
 
 
 def _reuse(buffer: np.ndarray, shape: tuple) -> np.ndarray:
@@ -403,32 +461,29 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
             f"{n_cells} cells cannot support a {tables.window}-cell window")
     if out is None:
         out = np.empty((2,) + field.shape)
-    if tables.k == 0:
-        _interface_sides(np.broadcast_to(field, (2,) + field.shape), out)
-        return out
     key = (field.shape, tables.window)
+    if tables.k == 0:
+        targets = scratch.buffers(_sides_layout, key, _side_views, out)
+        _interface_sides(targets, (field, field[..., 1:], field[..., 0]))
+        return out
     if characteristic and n_components > 1:
-        (lam, right_vec, left_vec, windows,
-         projected) = scratch.buffers(_characteristic_layout, key)
-        model.eigen_cells(field, out=(lam, right_vec, left_vec))
+        (targets, eigen, flat, indices, windows, left_vec, projected, pair,
+         right_vec, pair_columns, back, values) = scratch.buffers(
+            _characteristic_layout, key, _characteristic_plan, out)
+        model.eigen_cells(field, out=eigen)
         # cell-major windows (..., N, D, W), projected per cell to
         # characteristic windows (..., N, C, W); the projection commutes
         # with reversing a window, so cell j's value at x_{j-1/2} is in its
         # own characteristic fields too. mode="clip" gathers into windows
         # directly (the indices are all in range).
-        np.take(field.reshape(field.shape[:-2] + (-1,)),
-                _characteristic_indices(n_components, n_cells, tables.k),
-                axis=-1, out=windows, mode="clip")
+        field.reshape(flat).take(indices, -1, windows, "clip")
         np.matmul(left_vec, windows, out=projected)
-        pair = reconstruct_pair(tables, epsilon, projected,
-                                out=_reuse(windows, (2,) + lam.shape))
-        back = _reuse(projected, pair.shape + (1,))
-        np.matmul(right_vec, pair[..., None], out=back)
-        values = np.swapaxes(back[..., 0], -1, -2)
+        reconstruct_pair(tables, epsilon, projected, out=pair)
+        np.matmul(right_vec, pair_columns, out=back)
     else:
-        windows, values = scratch.buffers(_component_layout, key)
-        np.take(field, _window_indices(n_cells, tables.k), axis=-1,
-                out=windows, mode="clip")
-        reconstruct_pair(tables, epsilon, windows, out=values)
-    _interface_sides(values, out)
+        targets, indices, windows, pair, values = scratch.buffers(
+            _component_layout, key, _component_plan, out)
+        field.take(indices, -1, windows, "clip")
+        reconstruct_pair(tables, epsilon, windows, out=pair)
+    _interface_sides(targets, values)
     return out

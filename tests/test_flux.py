@@ -17,7 +17,7 @@ from mgritlab import (
     roe_flux,
 )
 from mgritlab.flux import _entropy_fix_into
-from mgritlab.models import eigen_arrays
+from mgritlab.models import _eigen_views, eigen_arrays
 
 
 def _scalar(u):
@@ -243,7 +243,7 @@ def _roe_average(model, ul, ur):
     eigen = eigen_arrays(ul.shape)
     if model.kind == "shallow-water":
         model._eigen_from(u_hat, np.sqrt(model.gravity * (0.5 * (rl + rr))),
-                          *eigen, np.empty(u_hat.shape))
+                          _eigen_views(*eigen), np.empty(u_hat.shape))
         return eigen
     gamma = model.gamma
     pl = (gamma - 1.0) * (ul[..., 2, :] - 0.5 * rl * vl * vl)
@@ -253,7 +253,7 @@ def _roe_average(model, ul, ur):
     h_hat = (sl * hl + sr * hr) / (sl + sr)
     c_sq = (gamma - 1.0) * (h_hat - 0.5 * u_hat * u_hat)
     work = [np.empty(u_hat.shape) for _ in range(6)]
-    model._eigen_from(u_hat, np.sqrt(c_sq), h_hat, *eigen, work)
+    model._eigen_from(u_hat, np.sqrt(c_sq), h_hat, _eigen_views(*eigen), work)
     return eigen
 
 
@@ -302,19 +302,24 @@ _PATHS = {
 
 @pytest.mark.parametrize("path", sorted(_PATHS))
 @pytest.mark.parametrize("side", [0, 1])
-@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("batch", [(), (3,), (1,), (2, 5)])
 def test_bad_side_is_located_by_interface_and_field_batch(path, side, batch):
     model = make_model("euler")
     sides = np.stack([_admissible(model, np.random.default_rng(41),
                                   batch + (8,))] * 2)
-    where = (2,) if batch else ()
-    sides[(side,) + where + (0, 5)] = -1.0  # density at interface 5+1/2
+    where = tuple(size - 1 for size in batch)
+    cell = (side,) + where + (0, 5)  # density at interface 5+1/2
+    sides[cell] = -1.0
     with pytest.raises(PhysicalStateError) as err:
         _PATHS[path](model, sides)
     expected = "non-positive density in cell 5"
     if batch:
-        expected += " at batch position 2"
+        position = where[0] if len(where) == 1 else where
+        expected += f" at batch position {position}"
     assert str(err.value) == expected
+    # a NaN passes the scans and propagates to the caller
+    sides[cell] = np.nan
+    assert np.isnan(_PATHS[path](model, sides)).any()
 
 
 # ----------------------------------------------------------------------
@@ -471,17 +476,22 @@ def _separate_sides_rhs(op, field):
 @pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])
 @pytest.mark.parametrize("flux_kind", ["lf", "roe"])
 @pytest.mark.parametrize("characteristic", [True, False])
-@pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 5), (1,), (16,), (200,)])
 def test_rhs_bitwise_equals_separate_side_evaluation(kind, flux_kind,
                                                       characteristic, batch):
+    # every order at one shape in one thread, so each reconstruction plan
+    # meets the others' buffers; and the same field through strides
     model = make_model(kind)
     grid = SpatialGrid(1.0, 16)
     field = _smooth_field(model, batch, 16)
+    strided = np.repeat(field, 2, axis=-1)[..., ::2]
     for order in (1, 3, 5, 7):
         op = SemiDiscreteOperator(model, grid, FluxConfig(
             kind=flux_kind, weno=WenoConfig(order=order,
                                             characteristic=characteristic)))
-        assert np.array_equal(op.rhs(field), _separate_sides_rhs(op, field))
+        result = op.rhs(field)
+        assert np.array_equal(result, _separate_sides_rhs(op, field))
+        assert op.rhs(strided).tobytes() == result.tobytes()
 
 
 @pytest.mark.parametrize("kind,flux_kind,most", [("euler", "roe", 2),

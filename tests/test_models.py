@@ -1,5 +1,7 @@
 """Conservation-law models: fluxes, eigenstructure, Roe averages."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,27 @@ def test_batched_state_errors_name_batch_position_and_cell():
     with pytest.raises(PhysicalStateError) as err:
         ShallowWater().flux(nested)
     assert str(err.value).endswith("cell 7 at batch position (1, 2)")
+    # every hook, at each batch rank; the first bad cell is named, and a
+    # NaN passes the scan and propagates
+    for model, batch, method in itertools.product(
+            (ShallowWater(), Euler()), ((), (1,), (2, 5)),
+            ("flux", "max_abs_speed", "eigen_cells")):
+        states = np.ones(batch + (model.n_components, 8))
+        states[..., 0, :] = 2.0
+        where = tuple(size - 1 for size in batch)
+        states[where + (0, 6)] = 0.0
+        states[where + (0, 3)] = -1.0
+        with pytest.raises(PhysicalStateError) as err:
+            getattr(model, method)(states)
+        position = where[0] if len(where) == 1 else where
+        assert str(err.value).endswith(
+            "cell 3" + (f" at batch position {position}" if batch else ""))
+        states[where + (0, slice(None))] = 2.0
+        states[where + (0, 3)] = np.nan
+        result = getattr(model, method)(states)
+        if method == "eigen_cells":
+            result = result[0]
+        assert np.isnan(result).any()
 
 
 def test_euler_rejects_nonpositive_pressure():

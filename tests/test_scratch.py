@@ -2,8 +2,11 @@
 the bits of the plain formulas, results do not depend on what ran before in
 the thread, results that callers keep are never buffers, a warm batched
 step allocates almost nothing, and each kernel call takes its buffers in one
-lookup of the store's one entry point."""
+lookup of the store's one entry point. A kernel's plan is cached for the
+store's own views only, and reads nothing that a buffer held before; a warm
+batch-1 right-hand side calls none of numpy's Python wrappers."""
 import inspect
+import os
 import sys
 import threading
 import tracemalloc
@@ -199,6 +202,95 @@ def test_threads_keep_their_own_buffers():
             assert result.tobytes() == want.tobytes()
 
 
+def _poison_store():
+    """Fill every buffer of the calling thread with NaN, +inf and -inf (or
+    True)."""
+    for flat in _held_arrays():
+        if flat.dtype == bool:
+            flat.fill(True)
+        else:
+            flat[:] = np.resize([np.nan, np.inf, -np.inf], flat.size)
+
+
+@pytest.mark.parametrize("kind,flux,degree", [("euler", "roe", 2),
+                                              ("shallow-water", "lf", 1)])
+def test_plans_read_nothing_the_store_held(kind, flux, degree):
+    # a plan binds views of the buffers, never their contents: after the
+    # store is poisoned, a right-hand side keeps its bits at the shape it
+    # was warmed at and at a smaller batch
+    rhs = _stepper(kind, flux, True, degree).rhs
+    inputs = [_states(kind, 4, (16,)), _states(kind, 5, (1,))]
+
+    def poisoned():
+        results = []
+        rhs(inputs[0])
+        for u in inputs:
+            _poison_store()
+            results.append(rhs(u))
+        return results
+
+    clean = _in_fresh_thread(lambda: [rhs(u) for u in inputs])
+    for got, want in zip(_in_fresh_thread(poisoned), clean):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,flux,degree", [("euler", "roe", 2),
+                                              ("shallow-water", "lf", 1)])
+def test_batch_one_and_sixteen_step_at_once_in_two_threads(kind, flux,
+                                                          degree):
+    stepper = _stepper(kind, flux, True, degree)
+    inputs = [_states(kind, 6, (1,)), _states(kind, 7, (16,))]
+    expected = [stepper.advance(u) for u in inputs]
+    barrier = threading.Barrier(len(inputs), timeout=THREAD_TIMEOUT)
+    got = [[] for _ in inputs]
+
+    def work(i):
+        barrier.wait()
+        for _ in range(20):
+            got[i].append(stepper.advance(inputs[i]))
+
+    workers = [threading.Thread(target=work, args=(i,))
+               for i in range(len(inputs))]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(THREAD_TIMEOUT)
+    assert not any(worker.is_alive() for worker in workers)
+    for want, results in zip(expected, got):
+        assert len(results) == 20
+        for result in results:
+            assert result.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind,flux,degree", [("euler", "roe", 2),
+                                              ("shallow-water", "lf", 1)])
+def test_warm_batch_one_rhs_calls_no_numpy_python_wrapper(kind, flux,
+                                                          degree):
+    # np.take, np.swapaxes, np.max, np.copyto and np.shape run Python
+    # frames of numpy's fromnumeric module around the array method or
+    # ufunc they call; at batch 1 those frames cost what the arithmetic does
+    op = SemiDiscreteOperator(
+        make_model(kind), SpatialGrid(1.0, 64),
+        FluxConfig(kind=flux, weno=WenoConfig(order=2 * degree + 1)))
+    u = _states(kind, 0, (1,), n_cells=64)
+    op.rhs(u)
+    files = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            files.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        op.rhs(u)
+    finally:
+        sys.setprofile(None)
+    assert any(name.endswith("weno.py") for name in files)
+    wrapped = [name for name in files
+               if os.path.basename(name) == "fromnumeric.py"]
+    assert not wrapped, len(wrapped)
+
+
 def test_warm_batched_step_allocates_little():
     # one SSP-RK3 WENO5-Roe step on 200 Euler states of 64 cells, as the
     # finest level of the benchmark's Euler workload advances them. Its
@@ -224,12 +316,39 @@ def _lookups(monkeypatch):
     """The keys of the scratch.buffers calls made from here on."""
     keys, buffers = [], scratch.buffers
 
-    def spy(layout, key, build=None):
+    def spy(layout, key, build=None, *given):
         keys.append(key)
-        return buffers(layout, key, build)
+        return buffers(layout, key, build, *given)
 
     monkeypatch.setattr(scratch, "buffers", spy)
     return keys
+
+
+def test_a_plan_is_cached_for_the_stores_own_views_only():
+    def layout(size):
+        return (("test.given", (size,)), ("test.own", (size,)))
+
+    def other_layout(size):
+        return (("test.given", (size,)),)
+
+    built = []
+
+    def build(given, own):
+        built.append(given)
+        return given, own
+
+    results = _in_fresh_thread(lambda: [
+        scratch.buffers(layout, 3, build),
+        # a view of one name, offset and shape is one object per thread
+        scratch.buffers(other_layout, 3)[0],
+        scratch.buffers(layout, 3, build, np.zeros(3)),
+        scratch.buffers(layout, 3, build,
+                        scratch.buffers(other_layout, 3)[0])])
+    cached, view, foreign, again = results
+    assert view is cached[0] and again is cached
+    assert foreign[1] is cached[1] and not np.shares_memory(foreign[0],
+                                                           cached[0])
+    assert len(built) == 2  # the foreign array's plan was built, not kept
 
 
 def test_buffers_is_the_one_entry_point():

@@ -26,8 +26,8 @@ from mgritlab import (
 )
 from mgritlab import scratch
 from mgritlab.weno import (BLOCK_WINDOWS, _block_terms, _newton_candidate,
-                           _newton_sum_of_squares, _pair_layout, _pair_terms,
-                           _window_indices, reconstruct_pair)
+                           _newton_sum_of_squares, _pair_layout, _pair_plan,
+                           _pair_terms, _window_indices, reconstruct_pair)
 
 EPS = 1e-6
 
@@ -36,9 +36,10 @@ def _pair_terms_of(tables, windows):
     """The kernel's (candidates, beta), each (2, k+1, M), of M windows as
     one block, in this thread's scratch buffers of that block."""
     columns = np.asarray(windows, float).reshape(-1, tables.window)
-    rows, *work, _ = scratch.buffers(_pair_layout, (tables.k, len(columns)))
-    np.copyto(rows, columns.T)
-    return _pair_terms(tables, rows, *work)
+    plan = scratch.buffers(_pair_layout, (tables.k, len(columns)),
+                           _pair_plan)
+    plan[0][...] = columns.T
+    return _pair_terms(plan)
 
 
 def _per_window(tables, window, terms):
