@@ -28,8 +28,9 @@ import numpy as np
 from . import scratch
 from .errors import ConfigError
 from .grid import SpatialGrid
-from .models import (_HALF, _ZERO, ConservationModel, _flux_outs, _operand,
-                     _roe_outs, _speed_outs, on_stack)
+from .models import (_HALF, _ZERO, ConservationModel, _contract,
+                     _contraction, _flux_outs, _lf_outs, _operand, _roe_outs,
+                     on_stack)
 from .weno import (DEFAULT_EPSILON, SUPPORTED_DEGREES, build_tables,
                    reconstruct_interface_states)
 
@@ -71,20 +72,27 @@ class FluxConfig:
                 f"unknown flux kind '{self.kind}', expected one of {FLUX_KINDS}")
 
 
-def lf_alpha(model: ConservationModel, sides: np.ndarray) -> np.ndarray:
+def lf_alpha(model: ConservationModel, sides: np.ndarray,
+             fluxes: np.ndarray | None = None) -> np.ndarray:
     """Largest |eigenvalue| over all interfaces and both sides.
 
     Reduces the side, interface and component axes only, so each member of
-    a batch of fields keeps its own dissipation speed; shape (...,).
+    a batch of fields keeps its own dissipation speed; shape (...,). The
+    one pass over the sides' primitive variables that gives their speeds
+    gives their fluxes too, written into fluxes, a (2, ..., D, N) array,
+    if one is given, for lf_flux to take.
     """
-    (speeds,) = scratch.buffers(_speed_outs, sides.shape)
-    on_stack(lambda stack: model.max_abs_speed(stack, out=speeds), sides)
+    model._check_shape(sides)
+    given = () if fluxes is None else (fluxes,)
+    fluxes, speeds = scratch.buffers(_lf_outs, sides.shape, None, *given)
+    on_stack(lambda stack: model._lf_terms_into(stack, fluxes, speeds),
+             sides)
     return np.maximum.reduce(speeds, axis=(0, -1))
 
 
 # A flux kernel's sides and out lead its layout under the names that the
 # right-hand side keeps them by, and the model hook's outs follow; its own
-# terms then take the "interface" buffer, whose windows and values the
+# terms then take the "interface" buffer, whose field extension the
 # reconstruction is done with once the sides are made.
 
 def _lf_layout(shape):
@@ -99,16 +107,21 @@ def _lf_plan(sides, out, fluxes, jump, half_alpha):
 
 
 def lf_flux(model: ConservationModel, sides: np.ndarray, alpha,
-            out: np.ndarray | None = None) -> np.ndarray:
+            out: np.ndarray | None = None,
+            fluxes: np.ndarray | None = None) -> np.ndarray:
     """Lax-Friedrichs interface flux with dissipation speed alpha, written
-    into out if one is given."""
+    into out if one is given. fluxes are the sides' fluxes
+    (2, ..., D, N), as lf_alpha wrote them, if it did; otherwise they are
+    evaluated here."""
     model._check_shape(sides)
     if out is None:
         out = np.empty(sides.shape[1:])
-    (left, right, out, fluxes, left_flux, right_flux, jump, half_alpha,
-     half_alphas) = scratch.buffers(_lf_layout, sides.shape, _lf_plan, sides,
-                                    out)
-    on_stack(lambda stack: model._flux_into(stack, fluxes), sides)
+    given = (sides, out) if fluxes is None else (sides, out, fluxes)
+    (left, right, out, side_fluxes, left_flux, right_flux, jump, half_alpha,
+     half_alphas) = scratch.buffers(_lf_layout, sides.shape, _lf_plan,
+                                    *given)
+    if fluxes is None:
+        on_stack(lambda stack: model._flux_into(stack, side_fluxes), sides)
     np.add(left_flux, right_flux, out=out)
     np.multiply(_HALF, out, out=out)
     np.subtract(right, left, out=jump)
@@ -142,25 +155,23 @@ def _entropy_fix_into(lam_hat, lam_left, lam_right, out, delta, lifted,
 
 
 def _roe_layout(shape):
-    cells = shape[1:-2] + shape[:-3:-1]  # (..., N, D)
-    return (("rhs.sides", shape), ("rhs.flux", shape[1:])) \
-        + _roe_outs(shape) + (("interface", shape[1:]),
-                              ("interface", cells + (1,)),
-                              ("interface", cells),
-                              ("interface", cells),
-                              ("interface", cells),
-                              ("flux.fix", cells, bool),
-                              ("interface", cells + (1,)))
+    # the roe_terms outs are entry-major (see models.eigen_arrays), every
+    # term is laid out as the interface states, (..., D, N), and the D
+    # products of a contraction take one (D, ..., D, N) block
+    states = shape[1:]
+    return (("rhs.sides", shape), ("rhs.flux", states)) + _roe_outs(shape) \
+        + tuple(("interface", states) for _ in range(5)) \
+        + (("interface", states[-2:-1] + states), ("flux.fix", states, bool))
 
 
 def _roe_plan(sides, out, fluxes, values, lam_hat, right_vec, left_vec,
-              jump, strength, speed, delta, lifted, fix, dissipation):
-    return ((fluxes, values, (lam_hat, right_vec, left_vec)), sides[0],
+              jump, strength, speed, delta, lifted, terms, fix):
+    return ((fluxes, values, lam_hat, right_vec, left_vec), sides[0],
             sides[1], out, fluxes[0], fluxes[1], values[0], values[1],
-            lam_hat, right_vec, left_vec, jump,
-            jump.swapaxes(-1, -2)[..., None], strength, strength[..., 0],
-            speed, speed[..., None], delta, lifted, fix, dissipation,
-            dissipation[..., 0].swapaxes(-1, -2))
+            lam_hat, jump, _contraction(strength, left_vec, jump, terms),
+            strength, speed, delta, lifted, fix,
+            # the dissipation sum_k q(lam_k) a_k r_k, made in jump
+            _contraction(jump, right_vec, speed, terms), jump)
 
 
 def roe_flux(model: ConservationModel, sides: np.ndarray,
@@ -169,38 +180,43 @@ def roe_flux(model: ConservationModel, sides: np.ndarray,
     given.
 
     Wave strengths are the expansion coefficients of the jump in the Roe
-    eigenbasis, a = left_vectors @ (uR - uL); the fix compares each Roe
+    eigenbasis, a = left_vectors (uR - uL); the fix compares each Roe
     eigenvalue with its counterparts evaluated at the two interface states.
+    Both per-interface products are component-order sums over the
+    entry-major eigenvector columns (models._contract).
     """
+    model._check_shape(sides)
     if out is None:
         out = np.empty(sides.shape[1:])
     (terms, left, right, out, left_flux, right_flux, left_values,
-     right_values, lam_hat, right_vec, left_vec, jump, jump_columns,
-     strength, strengths, speed, speed_columns, delta, lifted, fix,
-     dissipation, dissipation_rows) = scratch.buffers(
+     right_values, lam_hat, jump, wave_strengths, strength, speed, delta,
+     lifted, fix, dissipation_terms, dissipation) = scratch.buffers(
         _roe_layout, sides.shape, _roe_plan, sides, out)
-    model.roe_terms(sides, out=terms)
+    model._roe_terms_into(sides, *terms)
     np.subtract(right, left, out=jump)
-    np.matmul(left_vec, jump_columns, out=strength)
+    _contract(wave_strengths)
     _entropy_fix_into(lam_hat, left_values, right_values, speed, delta,
                       lifted, fix)
-    np.multiply(speed, strengths, out=speed)
-    np.matmul(right_vec, speed_columns, out=dissipation)
+    np.multiply(speed, strength, out=speed)
+    _contract(dissipation_terms)
     np.add(left_flux, right_flux, out=out)
     np.multiply(_HALF, out, out=out)
     np.multiply(_HALF, dissipation, out=dissipation)
-    return np.subtract(out, dissipation_rows, out=out)
+    return np.subtract(out, dissipation, out=out)
 
 
 def _rhs_layout(shape):
-    return (("rhs.sides", (2,) + shape), ("rhs.flux", shape))
+    # the sides' fluxes, which lf_alpha writes and lf_flux reads, take the
+    # "interface" buffer once the sides are made, as the flux kernels do
+    return (("rhs.sides", (2,) + shape), ("rhs.flux", shape)) \
+        + _flux_outs((2,) + shape)
 
 
-def _rhs_plan(sides, flux_at):
+def _rhs_plan(sides, flux_at, side_fluxes):
     # the divided difference is made in sides[0], which the fluxes no
     # longer need; entry i of flux_at is interface i+1/2
     difference = sides[0]
-    return (sides, flux_at, flux_at[..., 1:], flux_at[..., :-1],
+    return (sides, flux_at, side_fluxes, flux_at[..., 1:], flux_at[..., :-1],
             flux_at[..., 0], flux_at[..., -1], difference,
             difference[..., 1:], difference[..., 0])
 
@@ -229,13 +245,15 @@ class SemiDiscreteOperator:
 
     def rhs(self, field: np.ndarray) -> np.ndarray:
         field = np.asarray(field, float)
-        (sides, flux_at, upper, lower, first, last, difference, inner,
-         wrapped) = scratch.buffers(_rhs_layout, field.shape, _rhs_plan)
+        (sides, flux_at, side_fluxes, upper, lower, first, last, difference,
+         inner, wrapped) = scratch.buffers(_rhs_layout, field.shape,
+                                           _rhs_plan)
         model, weno = self.model, self.config.weno
         reconstruct_interface_states(model, field, self.tables, weno.epsilon,
                                      weno.characteristic, out=sides)
         if self.config.kind == "lf":
-            lf_flux(model, sides, lf_alpha(model, sides), out=flux_at)
+            lf_flux(model, sides, lf_alpha(model, sides, side_fluxes),
+                    out=flux_at, fluxes=side_fluxes)
         else:
             roe_flux(model, sides, out=flux_at)
         np.subtract(upper, lower, out=inner)

@@ -3,7 +3,14 @@
 Every operation accepts states of shape (..., D, N): component-major cell
 values with arbitrary leading batch axes. Eigen quantities come back
 cell-major, shape (..., N, D) for eigenvalues and (..., N, D, D) for
-eigenvector matrices, so that per-cell projections are plain contractions.
+eigenvector matrices, indexed [..., n, d] and [..., n, r, c]. These are
+views of entry-major storage (see eigen_arrays): eigenvalue d is the row
+values[..., d, :], and entry (r, c) of a matrix is the row
+matrix[c][..., r, :], so column c is one contiguous (..., D, N) block of
+the state's shape. A per-cell product M v is then D products of such
+blocks with the component rows of v, added in component order
+(`_contract`): plain elementwise arithmetic, whose bits do not depend on
+the batch, the memory layout or the CPU's BLAS kernel.
 roe_terms takes both sides of every interface as one (2, ..., D, N) array,
 sides[0] just left and sides[1] just right of x_{i+1/2}, and evaluates the
 primitive variables of each side once, for the sides' fluxes and
@@ -67,9 +74,10 @@ _ZERO, _HALF, _ONE, _MINUS_HALF = map(_operand, (0.0, 0.5, 1.0, -0.5))
 
 
 # Where the hooks' out arrays live when the right-hand side's kernels pass
-# their own buffers, for states of shape (..., D, N) (roe_terms: sides of
-# shape (2, ..., D, N)). The kernels lay these out first under the same
-# names, so a hook's plan finds the very views it is passed.
+# their own buffers, for states of shape (..., D, N) (roe_terms and
+# _lf_terms_into: sides of shape (2, ..., D, N)). The kernels lay these out
+# first under the same names, so a hook's plan finds the very views it is
+# passed. Eigen outs are entry-major storage (see eigen_arrays).
 
 def _flux_outs(shape):
     return (("interface", shape),)
@@ -79,14 +87,18 @@ def _speed_outs(shape):
     return (("interface", shape[:-2] + shape[-1:]),)
 
 
+def _lf_outs(shape):
+    return _flux_outs(shape) + _speed_outs(shape)
+
+
 def _eigen_outs(shape):
-    values = shape[:-2] + shape[:-3:-1]
-    return (("eigen.values", values), ("eigen.right", values + shape[-2:-1]),
-            ("eigen.left", values + shape[-2:-1]))
+    matrix = shape[-2:-1] + shape
+    return (("eigen.values", shape), ("eigen.right", matrix),
+            ("eigen.left", matrix))
 
 
 def _roe_outs(shape):
-    return (("interface", shape), ("interface", shape[:-2] + shape[:-3:-1])) \
+    return (("interface", shape), ("interface", shape)) \
         + _eigen_outs(shape[1:])
 
 
@@ -111,20 +123,46 @@ def _rows(array: np.ndarray) -> tuple:
     return tuple(array[..., d, :] for d in range(array.shape[-2]))
 
 
-def _columns(values: np.ndarray) -> tuple:
-    """values[..., d] for every component d of (..., D) eigenvalues."""
-    return tuple(values[..., d] for d in range(values.shape[-1]))
+def _contraction(out, matrix, states, terms) -> tuple:
+    """The operands of _contract for out = M v per cell, with matrix the
+    entry-major columns of M, (D, ..., R, N), broadcast against the
+    (..., D, N) states v and out (..., R, N), and terms a (D,) + out.shape
+    work array."""
+    operand = np.moveaxis(states, -2, 0)[..., None, :]
+    if len(matrix) == 1:
+        return (matrix, operand, out[None]), ()
+    first, second, *rest = terms
+    return (matrix, operand, terms), ((first, second, out),) + tuple(
+        (out, term, out) for term in rest)
+
+
+def _contract(contraction) -> None:
+    """A per-cell product M v, as _contraction lays it out: the D products
+    of column c of M with component c of v, made in one multiply, then
+    added in component order, (M_0 v_0 + M_1 v_1) + M_2 v_2.
+
+    Each column is a contiguous block of cells, so these are elementwise
+    operations over rows of cells, and their IEEE operations, one multiply
+    and one add per term, do not depend on the batch, the memory layout
+    or the CPU.
+    """
+    (matrix, operand, terms), sums = contraction
+    np.multiply(matrix, operand, out=terms)
+    for first, second, out in sums:
+        np.add(first, second, out=out)
 
 
 def _eigen_views(values, right, left) -> tuple:
-    """What an eigen hook writes of its (values, right, left): the
-    columns values[..., d], the rows right[..., r, :], and the entries
-    right[..., r, c] and left[..., r, c] in row-major order."""
-    n = values.shape[-1]
-    return (values, _columns(values),
-            tuple(right[..., r, :] for r in range(n)),
-            tuple(right[..., r, c] for r in range(n) for c in range(n)),
-            tuple(left[..., r, c] for r in range(n) for c in range(n)))
+    """What an eigen hook writes of its entry-major (values, right, left):
+    the rows values[..., d, :]; the eigenvalues and the rows of right,
+    each with the column axis first, for the rows every model shares; and
+    the entries right[c][..., r, :] and left[c][..., r, :] in row-major
+    order."""
+    n = values.shape[-2]
+    return (_rows(values), np.moveaxis(values, -2, 0),
+            tuple(right[:, ..., r, :] for r in range(n)),
+            tuple(right[c][..., r, :] for r in range(n) for c in range(n)),
+            tuple(left[c][..., r, :] for r in range(n) for c in range(n)))
 
 
 # The hooks' plans: the views of their outs and of their own buffers, in
@@ -139,9 +177,9 @@ def _eigen_plan(values, right, left, *own):
 
 
 def _roe_outs_plan(fluxes, values, roe_values, right, left):
-    """The views of roe_terms' outs: the rows of fluxes, the columns of
-    values, and the Roe eigen views."""
-    return (_rows(fluxes), _columns(values),
+    """The views of roe_terms' outs: the rows of fluxes and of values, and
+    the Roe eigen views."""
+    return (_rows(fluxes), _rows(values),
             _eigen_views(roe_values, right, left))
 
 
@@ -150,9 +188,13 @@ class ConservationModel:
 
     Each public method checks the states' shape once and runs a private
     `_*_into` hook of the subclass on fresh arrays or, where it takes
-    one, on the out it is given; the right-hand side's kernels pass
-    scratch buffers (see `scratch`) as out. `flux.lf_flux` calls
-    `_flux_into` itself, after checking the shape of its sides.
+    one, on the out it is given; eigen hooks write entry-major storage,
+    so eigen_cells and roe_terms pass them the storage behind their
+    cell-major outs. The right-hand side's kernels check the shape and
+    call the hooks themselves, with scratch buffers (see `scratch`) as
+    outs: `flux.lf_alpha` calls `_lf_terms_into`, `flux.lf_flux`
+    `_flux_into`, `flux.roe_flux` `_roe_terms_into` and
+    `weno.reconstruct_interface_states` `_eigen_cells_into`.
     """
 
     kind: str
@@ -181,13 +223,19 @@ class ConservationModel:
     def _max_abs_speed_into(self, u, out):
         raise NotImplementedError
 
+    def _lf_terms_into(self, sides, fluxes, speeds):
+        """The fluxes (2, ..., D, N) and max_k |lambda_k| (2, ..., N) of
+        (2, ..., D, N) sides, from one pass over their primitive
+        variables; the bits of _flux_into and _max_abs_speed_into."""
+        raise NotImplementedError
+
     def eigen_cells(self, u: np.ndarray, out=None):
         """(values, right, left) per cell for characteristic projection;
         out is such a tuple of arrays (see eigen_arrays)."""
         self._check_shape(u)
         if out is None:
             out = eigen_arrays(u.shape)
-        self._eigen_cells_into(u, *out)
+        self._eigen_cells_into(u, *_entry_major(*out))
         return out
 
     def _eigen_cells_into(self, u, values, right, left):
@@ -204,10 +252,11 @@ class ConservationModel:
         self._check_shape(sides)
         if out is None:
             out = (np.empty(sides.shape),
-                   np.empty(sides.shape[:-2] + sides.shape[:-3:-1]),
+                   np.empty(sides.shape).swapaxes(-1, -2),
                    eigen_arrays(sides.shape[1:]))
         fluxes, values, eigen = out
-        self._roe_terms_into(sides, fluxes, values, *eigen)
+        self._roe_terms_into(sides, fluxes, values.swapaxes(-1, -2),
+                             *_entry_major(*eigen))
         return out
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
@@ -218,10 +267,32 @@ class ConservationModel:
 def eigen_arrays(shape: tuple):
     """Empty (values, right, left) for states of shape (..., D, N): the
     per-cell eigenvalues (..., N, D) and eigenvector matrices
-    (..., N, D, D)."""
-    values = np.empty(shape[:-2] + shape[:-3:-1])
-    return values, np.empty(values.shape + shape[-2:-1]), \
-        np.empty(values.shape + shape[-2:-1])
+    (..., N, D, D).
+
+    They are views of entry-major storage, which the model hooks write
+    and the kernels read: values of the states' shape (..., D, N), and
+    each matrix as (D, ..., D, N), column c first and then the states'
+    shape with row r in place of the component. So entry [..., n, r, c]
+    of a view is storage[c][..., r, n], and each column is one contiguous
+    block of the states' shape.
+    """
+    return _cell_major(np.empty(shape), np.empty(shape[-2:-1] + shape),
+                       np.empty(shape[-2:-1] + shape))
+
+
+def _cell_major(values, right, left) -> tuple:
+    """The (..., N, D) and (..., N, D, D) views of entry-major storage."""
+    return (values.swapaxes(-1, -2),) + tuple(
+        np.moveaxis(matrix, 0, -1).swapaxes(-3, -2)
+        for matrix in (right, left))
+
+
+def _entry_major(values, right, left) -> tuple:
+    """The entry-major storage behind cell-major views: the inverse of
+    _cell_major, a view of any arrays of those shapes."""
+    return (values.swapaxes(-1, -2),) + tuple(
+        np.moveaxis(matrix.swapaxes(-3, -2), -1, 0)
+        for matrix in (right, left))
 
 
 class Burgers(ConservationModel):
@@ -244,15 +315,19 @@ class Burgers(ConservationModel):
     def _max_abs_speed_into(self, u, out):
         return np.abs(u[..., 0, :], out=out)
 
+    def _lf_terms_into(self, sides, fluxes, speeds):
+        self._flux_into(sides, fluxes)
+        self._max_abs_speed_into(sides, speeds)
+
     def _eigen_cells_into(self, u, values, right, left):
-        values[...] = u.swapaxes(-2, -1)
+        values[...] = u
         right.fill(1.0)
         left.fill(1.0)
 
     def _roe_terms_into(self, sides, fluxes, values, roe_values, right,
                         left):
         self._flux_into(sides, fluxes)
-        values[...] = sides.swapaxes(-2, -1)
+        values[...] = sides
         np.add(values[0], values[1], out=roe_values)
         np.multiply(_HALF, roe_values, out=roe_values)
         right.fill(1.0)
@@ -266,6 +341,7 @@ class ShallowWater(ConservationModel):
     n_components = 2
     _flux_layout = _hook_layout(_flux_outs, "sw", "vel pressure bad")
     _speed_layout = _hook_layout(_speed_outs, "sw", "vel c bad")
+    _lf_layout = _hook_layout(_lf_outs, "sw", "vel c pressure bad")
     _eigen_layout = _hook_layout(_eigen_outs, "sw", "vel c inv2c bad")
     _roe_layout = _hook_layout(_roe_outs, "sw",
                                "vel c root weighted pressure bad",
@@ -315,13 +391,24 @@ class ShallowWater(ConservationModel):
         out, vel, c, bad = scratch.buffers(self._speed_layout, u.shape, None,
                                            out)
         h, _ = self._depth_velocity(u, vel, bad)
+        return self._speed_from(h, vel, c, out)
+
+    def _speed_from(self, h, vel, c, out):
+        """|u| + sqrt(g h), written into out, with c a work array."""
         np.abs(vel, out=out)
         return np.add(out, self._celerity(h, c), out=out)
+
+    def _lf_terms_into(self, sides, fluxes, speeds):
+        rows, speeds, vel, c, pressure, bad = scratch.buffers(
+            self._lf_layout, sides.shape, _flux_plan, fluxes, speeds)
+        h, hu = self._depth_velocity(sides, vel, bad)
+        self._flux_from(h, hu, vel, pressure, rows)
+        self._speed_from(h, vel, c, speeds)
 
     def _eigen_from(self, vel, c, eigen, inv2c):
         """Eigenvalues and right/left eigenvectors from u and c into the
         views eigen of _eigen_views, with inv2c a work array."""
-        lam, columns, right_rows, _, left = eigen
+        columns, lam, right_rows, _, left = eigen
         self._values_into(vel, c, columns)
         right_rows[0].fill(1.0)
         right_rows[1][...] = lam
@@ -372,6 +459,7 @@ class Euler(ConservationModel):
     _EIGEN = "vel_c inv_c b1 b2 b1_vel vel_inv_c"  # _eigen_from's own
     _flux_layout = _hook_layout(_flux_outs, "euler", "vel p bad")
     _speed_layout = _hook_layout(_speed_outs, "euler", "vel p c bad")
+    _lf_layout = _hook_layout(_lf_outs, "euler", "vel p c bad")
     _eigen_layout = _hook_layout(_eigen_outs, "euler",
                                  "vel p c enthalpy bad " + _EIGEN)
     _roe_layout = _hook_layout(
@@ -431,8 +519,20 @@ class Euler(ConservationModel):
         out, vel, p, c, bad = scratch.buffers(self._speed_layout, u.shape,
                                               None, out)
         rho, _, _ = self._primitives(u, vel, p, bad)
+        return self._speed_from(rho, vel, p, c, out)
+
+    def _speed_from(self, rho, vel, p, c, out):
+        """|u| + sqrt(gamma p / rho), written into out, with c a work
+        array."""
         np.abs(vel, out=out)
         return np.add(out, self._sound_speed(rho, p, c), out=out)
+
+    def _lf_terms_into(self, sides, fluxes, speeds):
+        rows, speeds, vel, p, c, bad = scratch.buffers(
+            self._lf_layout, sides.shape, _flux_plan, fluxes, speeds)
+        rho, momentum, energy = self._primitives(sides, vel, p, bad)
+        self._flux_from(momentum, energy, vel, p, rows)
+        self._speed_from(rho, vel, p, c, speeds)
 
     def _eigen_from(self, vel, c, enthalpy, eigen, work):
         """Eigenvalues and right/left eigenvector matrices from u, c and H,
@@ -448,7 +548,7 @@ class Euler(ConservationModel):
         which needs c^2 = (gamma-1)(H - u^2/2); that holds for cell states
         and for the Roe average alike.
         """
-        lam, columns, right_rows, right, left = eigen
+        columns, lam, right_rows, right, left = eigen
         vel_c, inv_c, b1, b2, b1_vel, vel_inv_c = work
         self._values_into(vel, c, columns)
         right_rows[0].fill(1.0)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import scratch
 from .errors import ConfigError, DimensionError
-from .models import _eigen_outs
+from .models import _contract, _contraction, _eigen_outs
 
 DEFAULT_EPSILON = 1e-6
 
@@ -221,11 +221,19 @@ def _pair_plan(rows, diff0, diff1, at, term, beta, total):
     """A block's views and the table operands of its degree, in the order
     _pair_terms and _normalised_weights use them.
 
+    rows holds the block's windows slot-major, (W, ...), and need not be
+    contiguous; every other buffer has the windows' shape rows.shape[1:]
+    after its leading axes (_pair_layout's block is a line of m windows).
     at[j][side, r] is Delta^j q at the first cell of stencil r of side;
     Delta^j, j >= 1, is made from Delta^(j-1) in diff0 or diff1 by turns.
     """
     k = len(at) - 1
     tables = build_tables(k)
+    spread = (1,) * (rows.ndim - 2)  # table operands span every window axis
+
+    def operand(table):
+        return table.reshape(table.shape + spread)
+
     differences = [rows]
     for j in range(1, k + 1):
         rows_j = len(differences[-1]) - 1
@@ -233,25 +241,27 @@ def _pair_plan(rows, diff0, diff1, at, term, beta, total):
     gathers = tuple(zip(differences, tables.stencil_rows, at))
     steps = tuple((before[1:], before[:-1], after)
                   for before, after in zip(differences, differences[1:]))
-    candidate_terms = tuple(zip(tables.newton_candidates, at[1:]))
+    candidate_terms = tuple(zip(map(operand, tables.newton_candidates),
+                                at[1:]))
     # form m adds l_j Delta^(j+1) to Delta^(m+1) in place; forms after m
     # read only at[m + 2:]
     forms = tuple((at[m + 1],
-                   tuple((tables.newton_forms[m, j], at[j + 1])
+                   tuple((operand(tables.newton_forms[m, j]), at[j + 1])
                          for j in range(m + 1, k)),
-                   tables.newton_weights[m]) for m in range(k))
+                   operand(tables.newton_weights[m])) for m in range(k))
     omega = tuple(beta[:, r] for r in range(k + 1))
     return (rows, gathers[0], tuple(zip(steps, gathers[1:])), at[0],
-            candidate_terms, forms, term, beta, tables.weights[:, None],
-            total, total[:, None], omega)
+            candidate_terms, forms, term, beta,
+            operand(tables.weights[:, None]), total, total[:, None], omega)
 
 
 def _pair_terms(plan):
     """Candidate values and smoothness indicators of every stencil on both
-    sides, each (2, k+1, M), of the block whose slot-major (W, M) rows a
-    _pair_plan holds: [0, r] for stencil r of the window (toward its right
-    interface), [1, r] for stencil r of the reversed window (toward its
-    left interface). The results are the plan's at[0] and beta.
+    sides, each (2, k+1, ...), of the block whose slot-major (W, ...)
+    windows a _pair_plan holds: [0, r] for stencil r of the window (toward
+    its right interface), [1, r] for stencil r of the reversed window
+    (toward its left interface). The results are the plan's at[0] and
+    beta.
 
     The reversed window's Delta^j at its stencil r is (-1)^j Delta^j at
     slot k - j + r of the window, exactly (a - b == -(b - a)), so side 1
@@ -283,7 +293,7 @@ def _pair_terms(plan):
 
 
 def _normalised_weights(plan, epsilon: float):
-    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, M), over the
+    """omega_r = (d_r/(eps+beta_r)^2) / sum_r, (2, k+1, ...), over the
     plan's beta, which _pair_terms made."""
     beta, weights, total, totals, (first, *rest) = plan[7:]
     beta += epsilon
@@ -296,15 +306,35 @@ def _normalised_weights(plan, epsilon: float):
     return raw
 
 
-def _block_terms(tables: WenoTables, epsilon: float, columns: np.ndarray):
-    """Candidate values and normalised weights, each (2, k+1, M), of the M
-    windows of a (M, W) block, and the weights' (2, M) columns omega[:, r],
-    in this thread's scratch buffers of that block (see `scratch`), taken
-    in one lookup."""
+def _block_values(plan, epsilon: float, value: np.ndarray) -> None:
+    """The (2, ...) values of the block a _pair_plan holds, sum_r omega_r
+    times candidate r on each side, written into value, which may be the
+    plan's total."""
+    candidates, _ = _pair_terms(plan)
+    omega = _normalised_weights(plan, epsilon)
+    omega *= candidates
+    first, *rest = plan[-1]
+    value[...] = first
+    for column in rest:
+        value += column
+
+
+def _block_plan(tables: WenoTables, columns: np.ndarray):
+    """The _pair_plan of the M windows of a (M, W) block, in this thread's
+    scratch buffers of that block (see `scratch`), taken in one lookup,
+    with the windows copied slot-major into its rows."""
     plan = scratch.buffers(_pair_layout, (tables.k, len(columns)),
                            _pair_plan)
     plan[0][...] = columns.T
-    candidates, beta = _pair_terms(plan)
+    return plan
+
+
+def _block_terms(tables: WenoTables, epsilon: float, columns: np.ndarray):
+    """Candidate values and normalised weights, each (2, k+1, M), of the M
+    windows of a (M, W) block, and the weights' (2, M) columns omega[:, r],
+    in the block's scratch buffers."""
+    plan = _block_plan(tables, columns)
+    candidates, _ = _pair_terms(plan)
     return candidates, _normalised_weights(plan, epsilon), plan[-1]
 
 
@@ -333,13 +363,8 @@ def reconstruct_pair(tables: WenoTables, epsilon: float, window: np.ndarray,
     values = out.reshape(2, -1)
     for start in range(0, len(columns), BLOCK_WINDOWS):
         block = slice(start, start + BLOCK_WINDOWS)
-        candidates, omega, (first, *rest) = _block_terms(
-            tables, epsilon, columns[block])
-        omega *= candidates
-        value = values[:, block]
-        value[...] = first
-        for column in rest:
-            value += column
+        _block_values(_block_plan(tables, columns[block]), epsilon,
+                      values[:, block])
     return out
 
 
@@ -350,21 +375,11 @@ def reconstruct_left(tables: WenoTables, epsilon: float,
 
 
 @lru_cache(maxsize=None)
-def _window_indices(n_cells: int, k: int) -> np.ndarray:
-    """Periodic gather index: row i holds the window of cell i."""
-    cells = np.arange(n_cells)[:, None]
-    index = (cells + np.arange(-k, k + 1)[None, :]) % n_cells
-    index.setflags(write=False)
-    return index
-
-
-@lru_cache(maxsize=None)
-def _characteristic_indices(n_components: int, n_cells: int,
-                            k: int) -> np.ndarray:
-    """Gather index into a state's D * N flattened values: entry (i, d)
-    holds the window of cell i in component d."""
-    component = n_cells * np.arange(n_components)[:, None]
-    index = component + _window_indices(n_cells, k)[:, None, :]
+def _extension_indices(n_cells: int, width: int) -> np.ndarray:
+    """Periodic gather index of the extension of N cells by k at each end,
+    width = N + 2k cells: cells -k, ..., N-1+k."""
+    k = (width - n_cells) // 2
+    index = np.arange(-k, n_cells + k) % n_cells
     index.setflags(write=False)
     return index
 
@@ -388,51 +403,116 @@ def _interface_sides(targets: tuple, sources: tuple) -> None:
         target[...] = source
 
 
-# The sides lead a reconstruction's layout under the name that the
-# right-hand side keeps them by, and eigen_cells' outs follow. The windows
-# and values take the "interface" buffer, which the numerical flux takes
-# for its terms once the sides are made.
-
-def _sides_layout(key):
-    shape, _ = key
-    return (("rhs.sides", (2,) + shape),)
-
-
-def _characteristic_layout(key):
-    shape, window = key
-    cells = shape[:-2] + shape[:-3:-1]  # (..., N, D)
-    return _sides_layout(key) + _eigen_outs(shape) \
-        + (("interface", cells + (window,)), ("interface", cells + (window,)))
-
-
-def _characteristic_plan(out, lam, right_vec, left_vec, windows, projected):
-    n_cells, n_components, window = windows.shape[-3:]
-    pair = _reuse(windows, (2,) + lam.shape)
-    back = _reuse(projected, pair.shape + (1,))
-    values = back[..., 0].swapaxes(-1, -2)
-    return (_side_views(out), (lam, right_vec, left_vec),
-            windows.shape[:-3] + (-1,),
-            _characteristic_indices(n_components, n_cells, window // 2),
-            windows, left_vec, projected, pair, right_vec, pair[..., None],
-            back, _value_views(values))
-
-
-def _component_layout(key):
-    shape, window = key
-    return _sides_layout(key) + (("interface", shape + (window,)),
-                                 ("interface", (2,) + shape))
-
-
-def _component_plan(out, windows, values):
-    n_cells, window = windows.shape[-2:]
-    return (_side_views(out), _window_indices(n_cells, window // 2), windows,
-            values, _value_views(values))
-
-
 def _reuse(buffer: np.ndarray, shape: tuple) -> np.ndarray:
     """A view at shape of the start of a contiguous buffer whose contents
     are no longer needed."""
     return buffer.reshape(-1)[:prod(shape)].reshape(shape)
+
+
+def _block_states(n_states: int, windows: int) -> int:
+    """States per interface block: as many whole states of that many
+    windows as BLOCK_WINDOWS holds, one at least, spread evenly over the
+    blocks."""
+    most = max(1, BLOCK_WINDOWS // windows)
+    n_blocks = max(1, -(-n_states // most))
+    return max(1, -(-n_states // n_blocks))
+
+
+# The sides lead a reconstruction's layout under the name that the
+# right-hand side keeps them by, and eigen_cells' outs follow. The field's
+# extension takes the "interface" buffer, which the numerical flux takes
+# for its terms once the sides are made.
+
+def _sides_layout(key):
+    return (("rhs.sides", (2,) + key[0]),)
+
+
+def _interface_layout(key):
+    """The sides; with characteristic, the entry-major eigen outs; the
+    periodic extension of the (..., D, N) field by k cells at each end;
+    and the buffers of one full interface block of windows, flat, with
+    "weno.at" large enough for a characteristic projection's D products
+    of (W, ...) windows too."""
+    shape, window, characteristic = key
+    n_components, n_cells = shape[-2:]
+    cells = n_components * n_cells
+    m = _block_states(prod(shape[:-2]), cells) * cells
+    sizes = {name: prod(size) for name, size in _pair_layout((window // 2, m))}
+    if characteristic:
+        sizes["weno.at"] = max(sizes["weno.at"], n_components * window * m)
+    return _sides_layout(key) \
+        + (_eigen_outs(shape) if characteristic else ()) \
+        + (("interface", shape[:-1] + (n_cells + window - 1,)),) \
+        + tuple((name, (size,)) for name, size in sizes.items())
+
+
+def _interface_blocks(out, extension, buffers):
+    """Per block of whole states: the block's states, their (W, S, D, N)
+    windows, the block buffers of _pair_layout at that window shape, and
+    the views of the sides out that _interface_sides fills.
+
+    A state's windows are overlapping slices of its extension, read in
+    place: slot w of cell i is cell i - k + w.
+    """
+    n_components, n_cells = out.shape[-2:]
+    n_states = prod(out.shape[1:-2])
+    flat = extension.reshape(n_states, n_components, extension.shape[-1])
+    window = flat.shape[-1] - n_cells + 1
+    windows = np.lib.stride_tricks.as_strided(
+        flat, (window,) + flat.shape[:-1] + (n_cells,),
+        flat.strides[-1:] + flat.strides, writeable=False)
+    sides = out.reshape(2, n_states, n_components, n_cells)
+    leading = [shape[:-1] for _, shape in _pair_layout((window // 2, 1))]
+    per_block = _block_states(n_states, n_components * n_cells)
+    for start in range(0, n_states, per_block):
+        states = slice(start, min(start + per_block, n_states))
+        shape = (states.stop - start, n_components, n_cells)
+        yield (states, windows[:, states],
+               tuple(_reuse(buffer, lead + shape)
+                     for buffer, lead in zip(buffers, leading)),
+               _side_views(sides[:, states]))
+
+
+def _characteristic_plan(out, values, right, left, extension, *buffers):
+    """The eigen outs, the extension's gather, and per block: the
+    projection of its windows onto each cell's characteristic fields, in
+    the block's rows, with the D products in the free "weno.at"; its
+    plan; its values, in the plan's total; and their projection back with
+    each cell's right eigenvectors, in the free differences, with the
+    views of the sides that take them."""
+    eigen = values, right, left
+    right, left = (matrix.reshape(matrix.shape[:1] + (prod(out.shape[1:-2]),)
+                                  + matrix.shape[-2:])
+                   for matrix in (right, left))
+    at = buffers[3]  # the flat "weno.at" of _pair_layout
+    blocks = []
+    for states, windows, block, targets in _interface_blocks(
+            out, extension, buffers):
+        rows, diff0, *_, total = block
+        back = _reuse(diff0, total.shape)
+        blocks.append((
+            _contraction(rows, left[:, None, states], windows,
+                         _reuse(at, left.shape[:1] + rows.shape)),
+            _pair_plan(*block), total,
+            _contraction(back, right[:, None, states], total,
+                         _reuse(at, right.shape[:1] + back.shape)),
+            targets, _value_views(back)))
+    return (eigen, _extension_indices(out.shape[-1], extension.shape[-1]),
+            extension, tuple(blocks))
+
+
+def _component_plan(out, extension, *buffers):
+    """The extension's gather, and per block: its plan over the windows
+    themselves, its values, in the plan's total, and the views of the
+    sides that take them."""
+    blocks = []
+    for _, windows, block, targets in _interface_blocks(
+            out, extension, buffers):
+        total = block[-1]
+        blocks.append((_pair_plan(windows, *block[1:]), total, targets,
+                       _value_views(total)))
+    return (_extension_indices(out.shape[-1], extension.shape[-1]),
+            extension, tuple(blocks))
 
 
 def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
@@ -441,16 +521,18 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
     """Left and right states at every interface of a periodic field.
 
     field has shape (..., D, N). Returns one C-contiguous (2, ..., D, N)
-    array of sides, out if one is given: sides[0] is u- and sides[1] is u+
-    at x_{i+1/2}, the right edge of cell i, so `left, right = sides`
-    unpacks them. Each cell's window is gathered once and gives both of
-    the cell's values: the left value at x_{i+1/2} and the right value at
+    array of sides, out if one is given (it must be such an array):
+    sides[0] is u- and sides[1] is u+ at x_{i+1/2}, the right edge of cell
+    i, so `left, right = sides` unpacks them. Each cell's window is read once and gives both of the
+    cell's values: the left value at x_{i+1/2} and the right value at
     x_{i-1/2}, which one shift by a cell puts at the interface it belongs
     to. With characteristic=True and D > 1, the window is projected onto
     the characteristic fields of its own cell, reconstructed per field,
-    and projected back. Degree 0 is the identity, so its sides are the
-    field and its neighbour, without any projection. Every temporary is a
-    scratch buffer of this thread (see `scratch`).
+    and projected back; both projections are component-order sums over
+    the cell's entry-major eigenvectors (models._contract). Degree 0 is
+    the identity, so its sides are the field and its neighbour, without
+    any projection. The windows run in blocks of whole states, and every
+    temporary is a scratch buffer of this thread (see `scratch`).
     """
     field = np.asarray(field, float)
     if field.ndim < 2:
@@ -459,31 +541,36 @@ def reconstruct_interface_states(model, field: np.ndarray, tables: WenoTables,
     if n_cells < tables.window:
         raise DimensionError(
             f"{n_cells} cells cannot support a {tables.window}-cell window")
+    shape = (2,) + field.shape
     if out is None:
-        out = np.empty((2,) + field.shape)
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise DimensionError(f"out {out.shape} is not a C-contiguous {shape}")
     key = (field.shape, tables.window)
     if tables.k == 0:
         targets = scratch.buffers(_sides_layout, key, _side_views, out)
         _interface_sides(targets, (field, field[..., 1:], field[..., 0]))
         return out
     if characteristic and n_components > 1:
-        (targets, eigen, flat, indices, windows, left_vec, projected, pair,
-         right_vec, pair_columns, back, values) = scratch.buffers(
-            _characteristic_layout, key, _characteristic_plan, out)
-        model.eigen_cells(field, out=eigen)
-        # cell-major windows (..., N, D, W), projected per cell to
-        # characteristic windows (..., N, C, W); the projection commutes
-        # with reversing a window, so cell j's value at x_{j-1/2} is in its
-        # own characteristic fields too. mode="clip" gathers into windows
-        # directly (the indices are all in range).
-        field.reshape(flat).take(indices, -1, windows, "clip")
-        np.matmul(left_vec, windows, out=projected)
-        reconstruct_pair(tables, epsilon, projected, out=pair)
-        np.matmul(right_vec, pair_columns, out=back)
+        model._check_shape(field)
+        eigen, index, extension, blocks = scratch.buffers(
+            _interface_layout, key + (True,), _characteristic_plan, out)
+        model._eigen_cells_into(field, *eigen)
+        # mode="clip" gathers into the extension directly (the indices are
+        # all in range); the projection commutes with reversing a window,
+        # so cell j's value at x_{j-1/2} is in its own characteristic
+        # fields too
+        field.take(index, -1, extension, "clip")
+        for projection, block, values, back, targets, sources in blocks:
+            _contract(projection)
+            _block_values(block, epsilon, values)
+            _contract(back)
+            _interface_sides(targets, sources)
     else:
-        targets, indices, windows, pair, values = scratch.buffers(
-            _component_layout, key, _component_plan, out)
-        field.take(indices, -1, windows, "clip")
-        reconstruct_pair(tables, epsilon, windows, out=pair)
-    _interface_sides(targets, values)
+        index, extension, blocks = scratch.buffers(
+            _interface_layout, key + (False,), _component_plan, out)
+        field.take(index, -1, extension, "clip")
+        for block, values, targets, sources in blocks:
+            _block_values(block, epsilon, values)
+            _interface_sides(targets, sources)
     return out

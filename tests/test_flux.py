@@ -7,6 +7,7 @@ from mgritlab import (
     DimensionError,
     FluxConfig,
     PhysicalStateError,
+    RungeKuttaStepper,
     SemiDiscreteOperator,
     SpatialGrid,
     WenoConfig,
@@ -14,10 +15,22 @@ from mgritlab import (
     lf_flux,
     make_model,
     reconstruct_interface_states,
+    reconstruct_left,
     roe_flux,
 )
 from mgritlab.flux import _entropy_fix_into
-from mgritlab.models import _eigen_views, eigen_arrays
+from mgritlab.models import _eigen_views, _entry_major, eigen_arrays
+
+
+def _product(a, b):
+    """a @ b for stacks of small matrices, summed over the inner index in
+    its order, a[..., :, 0] b[..., 0, :] + a[..., :, 1] b[..., 1, :] + ...:
+    each entry's IEEE multiplies and adds as the package's contractions
+    make them, whatever the CPU's BLAS kernel would do."""
+    total = a[..., :, :1] * b[..., :1, :]
+    for c in range(1, a.shape[-1]):
+        total = total + a[..., :, c:c + 1] * b[..., c:c + 1, :]
+    return total
 
 
 def _scalar(u):
@@ -241,9 +254,10 @@ def _roe_average(model, ul, ur):
     sl, sr = np.sqrt(rl), np.sqrt(rr)
     u_hat = (sl * vl + sr * vr) / (sl + sr)
     eigen = eigen_arrays(ul.shape)
+    views = _eigen_views(*_entry_major(*eigen))
     if model.kind == "shallow-water":
         model._eigen_from(u_hat, np.sqrt(model.gravity * (0.5 * (rl + rr))),
-                          _eigen_views(*eigen), np.empty(u_hat.shape))
+                          views, np.empty(u_hat.shape))
         return eigen
     gamma = model.gamma
     pl = (gamma - 1.0) * (ul[..., 2, :] - 0.5 * rl * vl * vl)
@@ -253,7 +267,7 @@ def _roe_average(model, ul, ur):
     h_hat = (sl * hl + sr * hr) / (sl + sr)
     c_sq = (gamma - 1.0) * (h_hat - 0.5 * u_hat * u_hat)
     work = [np.empty(u_hat.shape) for _ in range(6)]
-    model._eigen_from(u_hat, np.sqrt(c_sq), h_hat, _eigen_views(*eigen), work)
+    model._eigen_from(u_hat, np.sqrt(c_sq), h_hat, views, work)
     return eigen
 
 
@@ -417,16 +431,165 @@ def test_rhs_matches_hand_rolled_first_order_lf():
 
 
 def test_rhs_batched_fields_match_individual_evaluation():
-    model = make_model("burgers")
-    grid = SpatialGrid(1.0, 12)
-    rng = np.random.default_rng(9)
-    fields = rng.uniform(-1, 1, size=(3, 1, 12))
-    config = FluxConfig(kind="roe", weno=WenoConfig(order=5))
-    op = SemiDiscreteOperator(model, grid, config)
-    batched = op.rhs(fields)
-    for b in range(3):
-        # batched contractions may reassociate sums; agreement is to roundoff
-        assert np.allclose(batched[b], op.rhs(fields[b]), atol=1e-13)
+    # bitwise: every contraction is elementwise, so no state's result
+    # depends on the batch around it (200 states run in several blocks)
+    grid = SpatialGrid(1.0, 16)
+    noise = np.random.default_rng(9)
+    for kind in ("burgers", "shallow-water", "euler"):
+        model = make_model(kind)
+        for flux_kind in ("lf", "roe"):
+            op = SemiDiscreteOperator(model, grid, FluxConfig(
+                kind=flux_kind, weno=WenoConfig(order=5,
+                                                characteristic=True)))
+            for batch in (3, 200):
+                fields = _smooth_field(model, (batch,), 16)
+                fields += 0.01 * noise.standard_normal(fields.shape)
+                batched = op.rhs(fields)
+                for b in range(batch):
+                    assert np.array_equal(batched[b], op.rhs(fields[b])), \
+                        (kind, flux_kind, batch, b)
+
+
+def _jacobian_eigen(model, u):
+    """(values, right, left) of the flux Jacobian at (..., D) states, from
+    np.linalg.eig and np.linalg.inv: the eigenvalues ascending, and each
+    right eigenvector scaled to first entry 1, as the models write them."""
+    if model.kind == "shallow-water":
+        vel = u[..., 1] / u[..., 0]
+        rows = [[np.zeros_like(vel), np.ones_like(vel)],
+                [model.gravity * u[..., 0] - vel * vel, 2 * vel]]
+    else:
+        gamma = model.gamma
+        vel = u[..., 1] / u[..., 0]
+        pressure = (gamma - 1) * (u[..., 2] - 0.5 * u[..., 1] * vel)
+        enthalpy = (u[..., 2] + pressure) / u[..., 0]
+        rows = _euler_jacobian(gamma, vel, enthalpy)
+    return _eigen_of(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
+
+
+def _euler_jacobian(gamma, vel, enthalpy):
+    zero, one = np.zeros_like(vel), np.ones_like(vel)
+    return [[zero, one, zero],
+            [0.5 * (gamma - 3) * vel * vel, (3 - gamma) * vel,
+             (gamma - 1) * one],
+            [vel * (0.5 * (gamma - 1) * vel * vel - enthalpy),
+             enthalpy - (gamma - 1) * vel * vel, gamma * vel]]
+
+
+def _eigen_of(jacobian):
+    values, vectors = np.linalg.eig(jacobian)
+    order = np.argsort(values.real, axis=-1)
+    values = np.take_along_axis(values.real, order, -1)
+    vectors = np.take_along_axis(vectors.real, order[..., None, :], -1)
+    vectors = vectors / vectors[..., :1, :]
+    return values, vectors, np.linalg.inv(vectors)
+
+
+def _roe_jacobian_eigen(model, left, right):
+    """_jacobian_eigen at the Roe average of (..., D) left and right
+    states."""
+    sl, sr = np.sqrt(left[..., 0]), np.sqrt(right[..., 0])
+    vel = (sl * left[..., 1] / left[..., 0]
+           + sr * right[..., 1] / right[..., 0]) / (sl + sr)
+    if model.kind == "shallow-water":
+        depth = 0.5 * (left[..., 0] + right[..., 0])
+        rows = [[np.zeros_like(vel), np.ones_like(vel)],
+                [model.gravity * depth - vel * vel, 2 * vel]]
+    else:
+        enthalpy = [(u[..., 2] + (model.gamma - 1)
+                     * (u[..., 2] - 0.5 * u[..., 1] ** 2 / u[..., 0]))
+                    / u[..., 0] for u in (left, right)]
+        rows = _euler_jacobian(model.gamma, vel, (sl * enthalpy[0]
+                                                  + sr * enthalpy[1])
+                               / (sl + sr))
+    return _eigen_of(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
+
+
+def _jacobian_rhs(op, field):
+    """The characteristic right-hand side of (..., D, N) fields with every
+    eigen-system taken from the flux Jacobian by np.linalg and every
+    per-cell product made by np.einsum."""
+    model, tables, epsilon = op.model, op.tables, op.config.weno.epsilon
+    n, k = field.shape[-1], tables.k
+    cells = np.moveaxis(field, -2, -1)  # (..., N, D)
+    _, right_vec, left_vec = _jacobian_eigen(model, cells)
+    windows = cells[..., (np.arange(n)[:, None] + np.arange(-k, k + 1)) % n,
+                    :]  # (..., N, W, D)
+    projected = np.einsum("...ncd,...nwd->...ncw", left_vec, windows)
+    values = [reconstruct_left(tables, epsilon, projected),
+              reconstruct_left(tables, epsilon, projected[..., ::-1])]
+    minus, plus = (np.einsum("...nrc,...nc->...nr", right_vec, value)
+                   for value in values)
+    plus = np.roll(plus, -1, axis=-2)  # u+ at x_{i+1/2} is cell i+1's
+    flux = 0.5 * (model.flux(np.moveaxis(minus, -1, -2))
+                  + model.flux(np.moveaxis(plus, -1, -2)))
+    jump = plus - minus
+    if op.config.kind == "lf":
+        speeds = [np.abs(_jacobian_eigen(model, side)[0])
+                  for side in (minus, plus)]
+        alpha = np.maximum(*(speed.max(axis=(-2, -1)) for speed in speeds))
+        dissipation = alpha[..., None, None] * jump
+    else:
+        lam_hat, right_hat, left_hat = _roe_jacobian_eigen(model, minus,
+                                                           plus)
+        strength = np.einsum("...nkd,...nd->...nk", left_hat, jump)
+        lam_left = _jacobian_eigen(model, minus)[0]
+        lam_right = _jacobian_eigen(model, plus)[0]
+        delta = np.maximum(0.0, np.maximum(lam_hat - lam_left,
+                                           lam_right - lam_hat))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            speed = np.where(np.abs(lam_hat) < delta,
+                             0.5 * (lam_hat * lam_hat / delta + delta),
+                             np.abs(lam_hat))
+        dissipation = np.einsum("...ndk,...nk->...nd", right_hat,
+                                speed * strength)
+    flux -= 0.5 * np.moveaxis(dissipation, -1, -2)
+    return -(flux - np.roll(flux, 1, axis=-1)) / op.space_grid.dx
+
+
+@pytest.mark.parametrize("kind", ["shallow-water", "euler"])
+@pytest.mark.parametrize("flux_kind", ["lf", "roe"])
+def test_characteristic_rhs_matches_jacobian_eigensystems(kind, flux_kind):
+    # a reference apart from the package's eigen hooks, their entry-major
+    # storage and its contractions: only round-off may separate the two
+    model = make_model(kind)
+    field = _smooth_field(model, (3,), 32)
+    field += 0.05 * np.random.default_rng(17).standard_normal(field.shape)
+    op = SemiDiscreteOperator(model, SpatialGrid(1.0, 32), FluxConfig(
+        kind=flux_kind, weno=WenoConfig(order=5, characteristic=True)))
+    got, expected = op.rhs(field), _jacobian_rhs(op, field)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(got - expected)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])
+@pytest.mark.parametrize("flux_kind", ["lf", "roe"])
+@pytest.mark.parametrize("characteristic", [True, False])
+@pytest.mark.parametrize("batch", [(), (16,)])
+def test_step_calls_no_blas_product(monkeypatch, kind, flux_kind,
+                                    characteristic, batch):
+    # the bits of a step must not depend on the CPU's BLAS kernel
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS product on the step path")
+
+    model = make_model(kind)
+    op = SemiDiscreteOperator(model, SpatialGrid(1.0, 16), FluxConfig(
+        kind=flux_kind, weno=WenoConfig(order=5,
+                                        characteristic=characteristic)))
+    stepper = RungeKuttaStepper(op.rhs, 1e-3, 3)
+    for name in ("matmul", "einsum", "dot"):
+        monkeypatch.setattr(np, name, refuse)
+    assert np.isfinite(stepper.advance(_smooth_field(model, batch, 16))).all()
+
+
+@pytest.mark.parametrize("kind", ["burgers", "shallow-water", "euler"])
+@pytest.mark.parametrize("characteristic", [True, False])
+def test_rhs_of_an_empty_batch_is_empty(kind, characteristic):
+    model = make_model(kind)
+    op = SemiDiscreteOperator(model, SpatialGrid(1.0, 16), FluxConfig(
+        kind="roe", weno=WenoConfig(order=5, characteristic=characteristic)))
+    empty = np.ones((0, model.n_components, 16))
+    assert op.rhs(empty).shape == empty.shape
 
 
 def _smooth_field(model, batch, n):
@@ -458,7 +621,7 @@ def _separate_sides_rhs(op, field):
     else:
         lam_hat, right_vec, left_vec = _roe_average(model, left, right)
         jump = np.swapaxes(right - left, -1, -2)[..., None]
-        strength = (left_vec @ jump)[..., 0]
+        strength = _product(left_vec, jump)[..., 0]
         # the Harten-Hyman speed, lifted inside the sonic band
         lam_left, lam_right = model.eigen_cells(left)[0], \
             model.eigen_cells(right)[0]
@@ -468,7 +631,8 @@ def _separate_sides_rhs(op, field):
             speed = np.where(np.abs(lam_hat) < delta,
                              0.5 * (lam_hat * lam_hat / delta + delta),
                              np.abs(lam_hat))
-        dissipation = (right_vec @ (speed * strength)[..., None])[..., 0]
+        dissipation = _product(right_vec,
+                               (speed * strength)[..., None])[..., 0]
         flux = average - 0.5 * np.swapaxes(dissipation, -1, -2)
     return -(flux - np.roll(flux, 1, axis=-1)) / op.space_grid.dx
 
@@ -495,10 +659,10 @@ def test_rhs_bitwise_equals_separate_side_evaluation(kind, flux_kind,
 
 
 @pytest.mark.parametrize("kind,flux_kind,most", [("euler", "roe", 2),
-                                                 ("shallow-water", "lf", 3)])
+                                                 ("shallow-water", "lf", 2)])
 def test_primitive_passes_per_rhs(monkeypatch, kind, flux_kind, most):
     # one pass over the field for its eigenvectors, and one over the sides
-    # for the interface flux (LF's speed and flux are separate calls)
+    # for the interface flux (LF's speeds and fluxes come from one pass)
     model = make_model(kind)
     method = "_primitives" if kind == "euler" else "_depth_velocity"
     evaluate, passes = getattr(model, method), []

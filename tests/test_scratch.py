@@ -358,14 +358,14 @@ def test_buffers_is_the_one_entry_point():
 
 
 @pytest.mark.parametrize("kind,flux,degree,lookups",
-                         [("euler", "roe", 2, 19),
-                          ("shallow-water", "lf", 1, 25)])
+                         [("euler", "roe", 2, 16),
+                          ("shallow-water", "lf", 1, 19)])
 def test_batch_one_step_lookups(monkeypatch, kind, flux, degree, lookups):
     # the fine steppers of the benchmark's WENO workloads: one lookup for
     # the Runge-Kutta stages, then per rhs one each for the rhs, the
-    # interface states, eigen_cells and the one reconstruction block, and
-    # for the flux: roe_flux and roe_terms, or lf_alpha, max_abs_speed,
-    # lf_flux and flux
+    # interface states (their blocks included) and the eigen hook, and for
+    # the flux: roe_flux and its roe_terms hook, or lf_alpha, its hook for
+    # the sides' speeds and fluxes, and lf_flux
     stepper = _stepper(kind, flux, True, degree)
     u = _states(kind, 0, (1,))
     stepper.advance(u)

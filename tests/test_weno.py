@@ -24,22 +24,29 @@ from mgritlab import (
     reconstruct_interface_states,
     reconstruct_left,
 )
-from mgritlab import scratch
-from mgritlab.weno import (BLOCK_WINDOWS, _block_terms, _newton_candidate,
-                           _newton_sum_of_squares, _pair_layout, _pair_plan,
-                           _pair_terms, _window_indices, reconstruct_pair)
+from mgritlab.weno import (BLOCK_WINDOWS, _block_plan, _block_terms,
+                           _newton_candidate, _newton_sum_of_squares,
+                           _pair_terms, reconstruct_pair)
 
 EPS = 1e-6
+
+
+def _product(a, b):
+    """a @ b for stacks of small matrices, summed over the inner index in
+    its order, a[..., :, 0] b[..., 0, :] + a[..., :, 1] b[..., 1, :] + ...:
+    each entry's IEEE multiplies and adds as the package's contractions
+    make them, whatever the CPU's BLAS kernel would do."""
+    total = a[..., :, :1] * b[..., :1, :]
+    for c in range(1, a.shape[-1]):
+        total = total + a[..., :, c:c + 1] * b[..., c:c + 1, :]
+    return total
 
 
 def _pair_terms_of(tables, windows):
     """The kernel's (candidates, beta), each (2, k+1, M), of M windows as
     one block, in this thread's scratch buffers of that block."""
     columns = np.asarray(windows, float).reshape(-1, tables.window)
-    plan = scratch.buffers(_pair_layout, (tables.k, len(columns)),
-                           _pair_plan)
-    plan[0][...] = columns.T
-    return _pair_terms(plan)
+    return _pair_terms(_block_plan(tables, columns))
 
 
 def _per_window(tables, window, terms):
@@ -619,9 +626,9 @@ def _rolled_characteristic_right_states(model, field, tables):
     cells = np.arange(n)[:, None]
     idx = (cells + 1 + np.arange(k, -k - 1, -1)[None, :]) % n
     component = np.arange(field.shape[-2])[:, None]
-    char = left_next @ field[..., component, idx[:, None, :]]
+    char = _product(left_next, field[..., component, idx[:, None, :]])
     rec = reconstruct_left(tables, EPS, char)
-    return np.swapaxes((right_next @ rec[..., None])[..., 0], -1, -2)
+    return np.swapaxes(_product(right_next, rec[..., None])[..., 0], -1, -2)
 
 
 @pytest.mark.parametrize("kind,k", [("shallow-water", 1), ("euler", 2),
@@ -712,11 +719,12 @@ def _two_gather_interface_states(model, field, tables, epsilon,
     if characteristic and field.shape[-2] > 1:
         _, right_vec, left_vec = model.eigen_cells(field)
         component = np.arange(field.shape[-2])[:, None]
-        char_left = left_vec @ field[..., component, left_idx[:, None, :]]
-        char_right = left_vec @ field[..., component,
-                                      left_idx[:, None, ::-1]]
+        char_left = _product(left_vec,
+                             field[..., component, left_idx[:, None, :]])
+        char_right = _product(left_vec,
+                              field[..., component, left_idx[:, None, ::-1]])
         states = [
-            (right_vec @ _one_side_reconstruct_left(
+            _product(right_vec, _one_side_reconstruct_left(
                 tables, epsilon, char)[..., None])[..., 0]
             for char in (char_left, char_right)]
         return (np.swapaxes(states[0], -1, -2),
@@ -745,19 +753,21 @@ def _smooth_field(model, kind, batch, n, rng):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_projection_commutes_with_window_reversal(kind, batch, k):
     # the right value's characteristic window is the projected window read
-    # backwards; this holds bitwise only if the stacked BLAS product treats
-    # every column alike, whatever its position
+    # backwards: the kernel's window slots are projected alike, so it
+    # projects each window once; its projection is the component-order
+    # contraction of _product, whose entries here are the kernel's bits
     model = make_model(kind)
     field = _smooth_field(model, kind, batch, 64, np.random.default_rng(3))
     _, _, left_vec = model.eigen_cells(field)
     assert left_vec.shape == batch + (64,) + (field.shape[-2],) * 2
     component = np.arange(field.shape[-2])[:, None]
-    windows = field[..., component, _window_indices(64, k)[:, None, :]]
-    projected = left_vec @ windows
-    assert np.array_equal(left_vec @ windows[..., ::-1],
+    cells = (np.arange(64)[:, None] + np.arange(-k, k + 1)) % 64
+    windows = field[..., component, cells[:, None, :]]
+    projected = _product(left_vec, windows)
+    assert np.array_equal(_product(left_vec, windows[..., ::-1]),
                           projected[..., ::-1])
     assert np.array_equal(
-        left_vec @ np.ascontiguousarray(windows[..., ::-1]),
+        _product(left_vec, np.ascontiguousarray(windows[..., ::-1])),
         projected[..., ::-1])
 
 
